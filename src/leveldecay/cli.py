@@ -19,8 +19,9 @@ counterexample
     Emit a named counterexample table (``--name log_square`` or
     ``exp_power``) plus a violation certificate.
 minimize
-    Run the radial descent ladder and write ``field.csv``,
-    ``profile.csv`` and ``report.csv`` to the output directory.
+    Run the radial Newton-solver ladder and write ``field.csv``,
+    ``profile.csv`` and ``report.csv`` to the output directory; exits 1
+    when no grid of the ladder converged.
 analyze
     Fit a stored level profile (``--profile`` CSV) according to the
     regime predicted by the ``[problem]`` section.
@@ -492,9 +493,7 @@ def _cmd_minimize(cfg: configparser.ConfigParser) -> int:
             ("directory", directory),
         ]
     )
-    if all(run.status == "max_iters" for run in report.reports):
-        return 1
-    return 0
+    return 0 if any(run.converged for run in report.reports) else 1
 
 
 def _cmd_analyze(cfg: configparser.ConfigParser, profile_path: str) -> int:
@@ -603,7 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
     counter.add_argument(
         "--name", required=True, help="counterexample family: log_square or exp_power"
     )
-    add("minimize", "run the radial descent ladder and write CSV outputs")
+    add("minimize", "run the radial Newton-solver ladder and write CSV outputs")
     analyze = add("analyze", "fit a stored level profile per the predicted regime")
     analyze.add_argument(
         "--profile", required=True, help="CSV table with header k,measure"

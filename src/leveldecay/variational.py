@@ -9,8 +9,11 @@ is discretized on a uniform radial grid: u is continuous piecewise
 linear in the radius with zero boundary trace, the coefficient and the
 source act through cell midpoint values, and every cell carries the
 exact measure of its spherical shell.  The coefficient decays in u, so
-the functional is noncoercive; minimizers are found by steepest descent
-in the discrete L^2(mu) metric with an Armijo backtracking line search.
+the functional is noncoercive.  Every cell couples only its two end
+nodes, so the exact Hessian is tridiagonal; minimizers are found by a
+damped Newton method on it, with a Levenberg shift toward the discrete
+L^2(mu) metric where the Hessian is indefinite and an Armijo
+backtracking line search on the energy.
 
 ``experiment_regularity`` runs the minimizer over a ladder of grids with
 warm starts and summarizes the level-set geometry of the solution: a
@@ -62,6 +65,14 @@ _ARMIJO = 1e-4
 
 #: Smallest trial step of the line search; below it the solver stagnates.
 _STEP_FLOOR = 1e-14
+
+#: First Levenberg shift, relative to the largest diagonal Hessian entry
+#: per unit of nodal measure; later shifts double it.
+_SHIFT_START = 1e-8
+
+#: Newton decrements below this fraction of |E| are lost in the rounding
+#: of the energy, so no line search can resolve them.
+_ROUNDOFF = float(np.finfo(float).eps)
 
 #: Number of levels in the profiles recorded by the experiments.
 _PROFILE_LEVELS = 97
@@ -189,6 +200,82 @@ def _gradient(u, h, meas, fbar, beta1, b, ap, p, eps) -> np.ndarray:
     return g
 
 
+def _hessian(u, h, meas, fbar, beta1, b, ap, p, eps) -> Tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the exact Hessian over the free nodes.
+
+    Cell i adds w1 [[1,1],[1,1]] + w2 [[1,-1],[-1,1]] + w3 diag(-1,1) to
+    the nodes (i, i+1), from the a''(ubar) J, a(ubar) J'' and a'(ubar) J'
+    terms of its energy.
+    """
+    ubar = 0.5 * (u[:-1] + u[1:])
+    du = (u[1:] - u[:-1]) / h
+    absu = np.abs(ubar)
+    a = beta1 / (b + absu) ** ap
+    da = -ap * beta1 * np.sign(ubar) / (b + absu) ** (ap + 1)
+    dda = ap * (ap + 1) * beta1 / (b + absu) ** (ap + 2)
+    q = eps * eps + du * du
+    je = q ** (p / 2) - eps**p
+    jp = p * du * q ** (p / 2 - 1)
+    # J'' = p q^(p/2-1) (1 + (p-2) t^2/q), finite at q = 0 for p >= 2
+    slope_share = np.divide(du * du, q, out=np.zeros_like(q), where=q > 0.0)
+    jpp = p * q ** (p / 2 - 1) * (1.0 + (p - 2.0) * slope_share)
+    w1 = 0.25 * meas * dda * je
+    w2 = meas * a * jpp / (h * h)
+    w3 = meas * da * jp / h
+    diag = w1 + w2 - w3
+    diag[1:] += (w1 + w2 + w3)[:-1]
+    return diag, (w1 - w2)[:-1]
+
+
+def _tridiagonal_solve(diag, off, rhs) -> Optional[np.ndarray]:
+    """Solve a symmetric tridiagonal system by an LDL^T (Thomas) sweep.
+
+    Returns None when a pivot is not positive, i.e. when the matrix is
+    not positive definite.
+    """
+    d = diag.tolist()
+    e = off.tolist()
+    y = rhs.tolist()
+    n = len(d)
+    pivots = [0.0] * n
+    factors = [0.0] * n
+    pivot = d[0]
+    if not pivot > 0.0:
+        return None
+    pivots[0] = pivot
+    for i in range(1, n):
+        factor = e[i - 1] / pivot
+        pivot = d[i] - factor * e[i - 1]
+        if not pivot > 0.0:
+            return None
+        factors[i] = factor
+        pivots[i] = pivot
+        y[i] -= factor * y[i - 1]
+    x = y[n - 1] / pivots[n - 1]
+    y[n - 1] = x
+    for i in range(n - 2, -1, -1):
+        x = y[i] / pivots[i] - factors[i + 1] * x
+        y[i] = x
+    return np.array(y)
+
+
+def _newton_direction(diag, off, metric, g) -> Optional[np.ndarray]:
+    """Solve (H + sigma M) d = -g with the first positive definite shift.
+
+    sigma = 0 is tried first; while a pivot is not positive, sigma starts
+    at _SHIFT_START times the largest diag/metric ratio and doubles.
+    Returns None when no finite shift helps (a non-finite Hessian).
+    """
+    sigma = 0.0
+    first = _SHIFT_START * float(np.max(np.abs(diag) / metric)) or _SHIFT_START
+    while math.isfinite(sigma):
+        direction = _tridiagonal_solve(diag + sigma * metric, off, -g)
+        if direction is not None:
+            return direction
+        sigma = 2.0 * sigma if sigma else first
+    return None
+
+
 def _coefficients(spec: FunctionalSpec) -> Tuple[float, float, float, float, float]:
     params = spec.params
     return (
@@ -229,7 +316,11 @@ def energy_gradient(field: DiscreteField, grid: RadialGrid, spec: FunctionalSpec
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
 class SolverTolerances:
-    """Stopping parameters of the descent: gradient norm and iteration cap."""
+    """Stopping parameters of the Newton solve: gradient norm and iteration cap.
+
+    ``grad_tol`` bounds the L^2(mu)-dual norm sqrt(g . g / metric) of the
+    Euclidean gradient g, with the nodal measures as metric.
+    """
 
     grad_tol: float = 1e-6
     max_iters: int = 100_000
@@ -245,12 +336,17 @@ class SolverTolerances:
 
 @dataclass(frozen=True)
 class MinimizeReport:
-    """Result of one descent run.
+    """Result of one Newton solve.
 
     ``status`` is "converged" (gradient norm reached grad_tol),
-    "stagnated" (no descent step above the step floor) or "max_iters".
-    ``energy_trace`` holds the energy at the start and after every
-    accepted iteration, so its length is iterations + 1.
+    "roundoff" (the Newton decrement fell below what the energy can
+    resolve, about machine epsilon times |E|, before the gradient norm
+    reached grad_tol), "stagnated" (no step above the step floor
+    decreases the energy, or no shift makes the Hessian positive
+    definite) or "max_iters".  ``final_gradient_norm`` is the gradient
+    norm at ``final_field``.  ``energy_trace`` holds the energy at the
+    start and after every accepted iteration, so its length is
+    iterations + 1.
     """
 
     final_field: DiscreteField
@@ -264,28 +360,43 @@ class MinimizeReport:
         return self.status == "converged"
 
 
+def _line_search(u, direction, energy, decrement, args) -> Optional[Tuple[np.ndarray, float]]:
+    """Armijo backtracking from the full step; None below the step floor."""
+    step = 1.0
+    while step >= _STEP_FLOOR:
+        trial = u.copy()
+        trial[:-1] += step * direction
+        trial_energy = _energy(trial, *args)
+        if math.isfinite(trial_energy) and energy - trial_energy >= _ARMIJO * step * decrement:
+            return trial, trial_energy
+        step *= 0.5
+    return None
+
+
 def minimize(
     grid: RadialGrid,
     spec: FunctionalSpec,
     initial: DiscreteField,
     tolerances: SolverTolerances,
 ) -> MinimizeReport:
-    """Steepest descent in the discrete L^2(mu) metric with Armijo search.
+    """Damped Newton method on the exact tridiagonal Hessian.
 
-    The Euclidean gradient is preconditioned by the nodal measures (the
-    Riesz map of the L^2(mu) inner product), which makes the iteration
-    equivariant under source rescaling in the linear regime.  The step is
-    doubled after every accepted move and halved on rejection; the run
-    stagnates when no step above the floor decreases the energy.
+    Each iteration solves (H + sigma M) d = -g, where M holds the nodal
+    measures (the Riesz map of the L^2(mu) inner product).  sigma = 0
+    unless the noncoercive Hessian is indefinite; then a Levenberg shift
+    is raised until the matrix is positive definite.  An Armijo
+    backtracking line search from the full step then moves along d.  The
+    solve stops when the gradient norm reaches ``grad_tol`` or when the
+    Newton decrement -g.d is below the resolution of the energy; see
+    ``MinimizeReport`` for the statuses.
     """
     u = initial.nodal_values.copy()
     _check_compatible(u, grid, spec)
     beta1, b, ap, p, eps = _coefficients(spec)
     if eps == 0.0 and p < 2.0:
         raise ValueError("epsilon must be positive when p < 2 (nonsmooth density)")
-    h = grid.spacing
     meas = grid.cell_measures
-    fbar = spec.source
+    args = (grid.spacing, meas, spec.source, beta1, b, ap, p, eps)
 
     # nodal measures: Riesz weights of the discrete L^2(mu) inner product
     metric = np.zeros(grid.cells)
@@ -293,41 +404,35 @@ def minimize(
     metric[1:] += 0.5 * meas[:-1]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        energy = _energy(u, h, meas, fbar, beta1, b, ap, p, eps)
+        energy = _energy(u, *args)
         if not math.isfinite(energy):
             raise NonFiniteEnergyError(f"initial energy is {energy}")
         trace = [energy]
-        step = h * h
         iterations = 0
-        status = "max_iters"
-        grad_norm = math.nan
-        while iterations < tolerances.max_iters:
-            g = _gradient(u, h, meas, fbar, beta1, b, ap, p, eps)
-            direction = g / metric
-            gn2 = float(g @ direction)
-            grad_norm = math.sqrt(gn2)
+        while True:
+            g = _gradient(u, *args)
+            grad_norm = math.sqrt(float(g @ (g / metric)))
             if grad_norm <= tolerances.grad_tol:
                 status = "converged"
                 break
-            accepted = False
-            while step >= _STEP_FLOOR:
-                trial = u.copy()
-                trial[:-1] -= step * direction
-                trial_energy = _energy(trial, h, meas, fbar, beta1, b, ap, p, eps)
-                if math.isfinite(trial_energy) and energy - trial_energy >= _ARMIJO * step * gn2:
-                    u, energy = trial, trial_energy
-                    step *= 2.0
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
+            if iterations >= tolerances.max_iters:
+                status = "max_iters"
+                break
+            direction = _newton_direction(*_hessian(u, *args), metric, g)
+            if direction is None:
                 status = "stagnated"
                 break
+            decrement = -float(g @ direction)
+            if decrement <= _ROUNDOFF * abs(energy):
+                status = "roundoff"
+                break
+            accepted = _line_search(u, direction, energy, decrement, args)
+            if accepted is None:
+                status = "stagnated"
+                break
+            u, energy = accepted
             trace.append(energy)
             iterations += 1
-        else:
-            # ran out of iterations with the last gradient still above tolerance
-            pass
 
     return MinimizeReport(
         final_field=DiscreteField(u),

@@ -1,8 +1,9 @@
 """Shared fixtures.
 
-The regularity-trichotomy experiment is expensive (three warm-started
-grid ladders up to 4096 cells), so it runs once per session and is
-shared by the acceptance gate and the refinement-stability tests.
+The regularity-trichotomy experiment (three warm-started grid ladders up
+to 4096 cells, a few Newton iterations per grid) runs once per session
+and is shared by the acceptance gate, the refinement-stability tests and
+the solver-tolerance test.
 """
 import time
 

@@ -263,7 +263,7 @@ cells = 64
 refinements = 2
 
 [solver]
-max_iters = 150
+max_iters = 1
 grad_tol = 1e-6
 """
 
@@ -274,7 +274,7 @@ def test_minimize_outputs_and_determinism(tmp_path, capsys):
         d = tmp_path / tag
         d.mkdir()
         cfg = write(d / "c.ini", MINIMIZE_CFG + f"\n[output]\ndirectory = {d}\n")
-        # 150 iterations cannot reach grad_tol on any grid: exit 1
+        # one iteration cannot reach grad_tol on any grid: exit 1
         assert main(["minimize", "--config", cfg]) == 1
         capsys.readouterr()
         outputs[tag] = {

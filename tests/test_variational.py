@@ -1,16 +1,22 @@
 """Oracle tests for the radial minimizer of the noncoercive functional.
 
 Independent oracles: hand integrals for the energy, central finite
-differences for the gradient, and a direct tridiagonal solve (scipy,
-test-only) for the linear regime alpha = 0, p = 2.
+differences for the gradient and the Hessian, and a direct tridiagonal
+solve (scipy, test-only) for the linear regime alpha = 0, p = 2.
 """
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import solve_banded
 
-from leveldecay.exponents import ProblemParams
+import leveldecay
+from conftest import TRICHOTOMY_TOL
+from leveldecay.exponents import ProblemParams, holder_conjugate
 from leveldecay.marcinkiewicz import power_source, unit_ball_volume
 from leveldecay.variational import (
     DiscreteField,
@@ -27,6 +33,7 @@ from leveldecay.variational import (
     minimize,
     truncate,
 )
+from leveldecay.variational import _coefficients, _hessian, _newton_direction
 
 
 def make_spec(grid, *, n=4, p=2.0, alpha=0.25, r=1.75, beta1=1.0, b_const=1.0,
@@ -169,6 +176,58 @@ def test_gradient_requires_epsilon_below_quadratic():
     energy_gradient(u, grid, ok)  # smooth j_eps: no error
 
 
+# ---------------------------------------------------------------- hessian
+@given(
+    p=st.sampled_from([1.5, 2.0, 3.0]),
+    alpha=st.floats(min_value=0.0, max_value=0.5),
+    epsilon=st.floats(min_value=1e-3, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_hessian_matches_finite_differences(p, alpha, epsilon, seed):
+    assume(alpha * holder_conjugate(p) < 1.0)
+    cells = 12
+    grid = RadialGrid(n=3, radius=1.0, cells=cells)
+    spec = make_spec(grid, n=3, p=p, alpha=alpha, r=1.5, epsilon=epsilon)
+    rng = np.random.default_rng(seed)
+    u = np.zeros(cells + 1)
+    u[:-1] = rng.uniform(0.1, 3.0, cells)  # positive: no cell midpoint at the kink of a
+    diag, off = _hessian(u, grid.spacing, grid.cell_measures, spec.source, *_coefficients(spec))
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    hfd = np.empty((cells, cells))
+    for i in range(cells):
+        t = 1e-6 * max(1.0, abs(u[i]))
+        up, um = u.copy(), u.copy()
+        up[i] += t
+        um[i] -= t
+        gp = energy_gradient(DiscreteField(up), grid, spec)
+        gm = energy_gradient(DiscreteField(um), grid, spec)
+        hfd[:, i] = (gp - gm) / (2 * t)
+    scale = float(np.max(np.abs(hfd)))
+    assert float(np.max(np.abs(dense - hfd))) <= 1e-6 * scale
+
+
+def test_newton_direction_shifts_indefinite_hessian():
+    diag = np.array([2.0, -1.0, 3.0, 1.0])
+    off = np.array([0.5, 0.5, -0.25])
+    metric = np.array([1.0, 2.0, 0.5, 1.0])
+    g = np.array([1.0, -2.0, 0.5, 3.0])
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    assert np.linalg.eigvalsh(dense).min() < 0.0
+    d = _newton_direction(diag, off, metric, g)
+    # d solves (H + sigma M) d = -g for one positive definite shift sigma
+    sigmas = (-g - dense @ d) / (metric * d)
+    sigma = float(sigmas[0])
+    assert sigma > 0.0
+    assert np.allclose(sigmas, sigma, rtol=1e-10)
+    assert np.linalg.eigvalsh(dense + sigma * np.diag(metric)).min() > 0.0
+    assert float(g @ d) < 0.0
+    # a positive definite Hessian is solved unshifted
+    spd = dense + 4.0 * np.eye(4)
+    d0 = _newton_direction(np.diag(spd).copy(), off, metric, g)
+    assert np.allclose(spd @ d0, -g, rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------- minimize
 def test_minimize_trivial_global_minimum():
     grid = RadialGrid(n=4, radius=1.0, cells=16)
@@ -232,8 +291,19 @@ def test_minimize_linear_oracle():
     assert err <= 1e-6
 
 
+def test_minimize_linear_regime_is_one_newton_solve():
+    # The criterion-10 problem is quadratic, so an exact Hessian reaches
+    # the tolerance in one Newton step (two allow for rounding).
+    grid = RadialGrid(n=2, radius=1.0, cells=128)
+    spec = constant_spec(grid, f_const=1.0)
+    rep = minimize(grid, spec, DiscreteField(np.zeros(129)), SolverTolerances(grad_tol=1e-12))
+    assert rep.status == "converged"
+    assert rep.iterations <= 2
+    assert rep.final_gradient_norm <= 1e-12
+
+
 def test_minimize_scaling_equivariance():
-    # In the linear regime the whole descent trajectory is equivariant under
+    # In the linear regime the whole Newton trajectory is equivariant under
     # f -> sigma f, so fixed-iteration runs must match to rounding error.
     grid = RadialGrid(n=2, radius=1.0, cells=64)
     tol = SolverTolerances(grad_tol=0.0, max_iters=500)
@@ -254,6 +324,25 @@ def test_minimize_nonfinite_initial_energy():
     u[:-1] = np.where(np.arange(8) % 2 == 0, 1e200, -1e200)  # du^2 overflows
     with pytest.raises(NonFiniteEnergyError):
         minimize(grid, spec, DiscreteField(u), SolverTolerances(max_iters=5))
+
+
+def test_trichotomy_solves_meet_their_tolerance(trichotomy_runs):
+    # A reported minimizer meets its stopping tolerance; the only other
+    # accepted end is a Newton decrement below the energy's resolution.
+    for report in trichotomy_runs.values():
+        for run in report.reports:
+            assert run.status in {"converged", "roundoff"}
+            if run.converged:
+                assert run.final_gradient_norm <= TRICHOTOMY_TOL.grad_tol
+
+
+def test_package_import_is_numpy_only():
+    # scipy is a test-only oracle; importing it would slow every start-up.
+    src = os.path.dirname(os.path.dirname(leveldecay.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, leveldecay; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- truncation
