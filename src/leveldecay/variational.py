@@ -267,6 +267,7 @@ def _newton_direction(diag, off, metric, g) -> Optional[np.ndarray]:
     Returns None when no finite shift helps (a non-finite Hessian).
     """
     sigma = 0.0
+    # a zero diagonal (epsilon = 0, p > 2, flat field) still needs a positive shift
     first = _SHIFT_START * float(np.max(np.abs(diag) / metric)) or _SHIFT_START
     while math.isfinite(sigma):
         direction = _tridiagonal_solve(diag + sigma * metric, off, -g)
