@@ -67,6 +67,7 @@ from .lemma import (
     check_hypothesis,
     classify,
     envelope,
+    envelope_constants,
     exp_decay_tau,
     giusti_recursion,
     level_sequence,
@@ -160,6 +161,7 @@ __all__ = [
     "distribution_function",
     "energy_gradient",
     "envelope",
+    "envelope_constants",
     "equivalence_constant",
     "excess",
     "exp_decay_tau",

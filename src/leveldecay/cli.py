@@ -57,12 +57,12 @@ from .lemma import (
     CaseTag,
     DecayHypothesis,
     Doubling,
+    EnvelopeConstants,
     PsiTable,
     check_envelope,
     check_hypothesis,
     classify,
-    exp_decay_tau,
-    power_decay_constants,
+    envelope_constants,
     vanishing_level,
 )
 from .marcinkiewicz import DistributionProfile
@@ -322,17 +322,13 @@ def _cmd_constants(cfg: configparser.ConfigParser) -> int:
     hyp = _hypothesis_from(cfg)
     psi_at_k0 = _float_or(cfg, "lemma", "psi_at_k0", 0.0)
     case = classify(hyp)
-    lam = big_m = c_bar = tau = big_l = None
-    if case.tag is CaseTag.POWER_DECAY:
-        env = power_decay_constants(hyp, psi_at_k0)
-        lam, big_m, c_bar = env.lam, env.M, env.c_bar
-    elif case.tag is CaseTag.EXPONENTIAL_DECAY:
-        tau = exp_decay_tau(hyp).tau
-    elif case.tag is CaseTag.VANISHING:
-        big_l = vanishing_level(hyp, psi_at_k0).L
+    if case.tag is CaseTag.UNCLASSIFIED:
+        env = EnvelopeConstants(case)
+    else:
+        env = envelope_constants(hyp, psi_at_k0)
     _print_csv(
         ("case", "lambda", "M", "c_bar", "tau", "L"),
-        [(case.tag.value, lam, big_m, c_bar, tau, big_l)],
+        [(case.tag.value, env.lam, env.M, env.c_bar, env.tau, env.L)],
     )
     return 0
 

@@ -21,6 +21,13 @@ exactly as printed in the source proofs, evaluates envelopes, verifies
 both the hypothesis and its conclusion on tabulated functions
 (:class:`PsiTable`), and runs the geometric recursion
 (:func:`giusti_recursion`) used by the vanishing case.
+
+Constants and checks work with logarithms, so extreme but valid inputs
+never overflow.  Envelope constants are computed as logs and returned
+as floats, ``inf`` when they exceed the float range.  Every check ratio
+lhs/rhs is ``exp(log lhs - log rhs)`` over numpy arrays of pairs, with
+the conventions 0/0 -> 0 and positive/0 -> +inf; a ratio beyond the
+float range reads ``inf``.
 """
 from __future__ import annotations
 
@@ -30,6 +37,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "AllKnotPairs",
@@ -48,6 +57,7 @@ __all__ = [
     "check_hypothesis",
     "classify",
     "envelope",
+    "envelope_constants",
     "exp_decay_tau",
     "giusti_recursion",
     "level_sequence",
@@ -62,6 +72,12 @@ CLASSIFY_TOL = 1e-9
 #: Relative slack allowed for "nonincreasing" table values (absorbs the
 #: rounding of values produced by floating-point formulas).
 _MONOTONE_SLACK = 1e-12
+
+#: Pairs per array batch of AllKnotPairs and RandomPairs; bounds the
+#: memory of a check independently of the table size.
+_BATCH_PAIRS = 2**16
+
+_LOG2 = math.log(2.0)
 
 
 class WrongCaseError(ValueError):
@@ -158,6 +174,28 @@ def _require_case(hyp: DecayHypothesis, tag: CaseTag, op: str) -> CaseClass:
     return case
 
 
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _exp(x: float) -> float:
+    """exp(x), or inf where it exceeds the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _power_logs(hyp: DecayHypothesis, psi_at_k0: float) -> Tuple[float, float, float]:
+    """lam, log M and log c_bar of the power-decay envelope."""
+    lam = (hyp.D - hyp.A) / (1.0 - hyp.B)
+    log_rho = lam * _log(hyp.k0) + _log(psi_at_k0)
+    log_m = (
+        math.log(max(hyp.c1, 1.0)) + (lam + hyp.A + 1.0) * _LOG2
+    ) / (1.0 - hyp.B) + hyp.B * float(np.logaddexp(0.0, log_rho))
+    return lam, log_m, lam * _LOG2 + log_m
+
+
 def power_decay_constants(hyp: DecayHypothesis, psi_at_k0: float) -> EnvelopeConstants:
     """Envelope constants for the power-decay case.
 
@@ -167,21 +205,29 @@ def power_decay_constants(hyp: DecayHypothesis, psi_at_k0: float) -> EnvelopeCon
         M     = c1'**(1/(1-B)) * 2**((lam+A+1)/(1-B)) * (1 + rho(k0))**B
         c_bar = 2**lam * M
 
-    and the claimed conclusion is psi(k) <= c_bar * k**(-lam).
+    and the claimed conclusion is psi(k) <= c_bar * k**(-lam).  M and
+    c_bar are computed through their logs and read ``inf`` beyond the
+    float range.
     """
     case = _require_case(hyp, CaseTag.POWER_DECAY, "power_decay_constants")
     if psi_at_k0 < 0.0:
         raise ValueError("psi_at_k0 must be nonnegative")
-    lam = (hyp.D - hyp.A) / (1.0 - hyp.B)
-    c1_clamped = max(hyp.c1, 1.0)
-    rho = hyp.k0**lam * psi_at_k0
-    M = (
-        c1_clamped ** (1.0 / (1.0 - hyp.B))
-        * 2.0 ** ((lam + hyp.A + 1.0) / (1.0 - hyp.B))
-        * (1.0 + rho) ** hyp.B
+    lam, log_m, log_c_bar = _power_logs(hyp, psi_at_k0)
+    return EnvelopeConstants(case=case, lam=lam, M=_exp(log_m), c_bar=_exp(log_c_bar))
+
+
+def _log_tau_term(hyp: DecayHypothesis) -> float:
+    """Log of the second term in the maximum defining tau."""
+    A, D = hyp.A, hyp.D
+    log_inner = (
+        _LOG2
+        + math.log(hyp.c1)
+        + 1.0
+        + ((2.0 * D - A) * A) / (D - A) * _LOG2
+        + D * math.log(D - A)
+        - D * math.log(D)
     )
-    c_bar = 2.0**lam * M
-    return EnvelopeConstants(case=case, lam=lam, M=M, c_bar=c_bar)
+    return log_inner / (D - A)
 
 
 def exp_decay_tau(hyp: DecayHypothesis) -> EnvelopeConstants:
@@ -191,19 +237,12 @@ def exp_decay_tau(hyp: DecayHypothesis) -> EnvelopeConstants:
                (2 c1 e 2**((2D-A)A/(D-A)) (D-A)**D / D**D)**(1/(D-A)) }
 
     and the claimed conclusion is
-    psi(k) <= psi(k0) * exp(1 - ((k - k0)/tau)**((D-A)/D)).
+    psi(k) <= psi(k0) * exp(1 - ((k - k0)/tau)**((D-A)/D)).  The power
+    product is computed through its log; tau reads ``inf`` beyond the
+    float range.
     """
     case = _require_case(hyp, CaseTag.EXPONENTIAL_DECAY, "exp_decay_tau")
-    A, D = hyp.A, hyp.D
-    inner = (
-        2.0
-        * hyp.c1
-        * math.e
-        * 2.0 ** (((2.0 * D - A) * A) / (D - A))
-        * (D - A) ** D
-        / D**D
-    )
-    tau = max(hyp.k0 + 1.0, inner ** (1.0 / (D - A)))
+    tau = max(hyp.k0 + 1.0, _exp(_log_tau_term(hyp)))
     return EnvelopeConstants(case=case, tau=tau)
 
 
@@ -218,25 +257,39 @@ def vanishing_level(hyp: DecayHypothesis, psi_at_k0: float) -> EnvelopeConstants
                  (c1 2**(1+D) (1+psi(k0))**B)**(1/(D-A)),
                  (c1**(C/(C-1)) (1+psi(k0))**B
                   * 2**(D+1+(A+D+1)/(C-1)+D/(C-1)**2))**((C-1)/((D-A)C)) }.
+
+    The power products are computed through their logs; L reads ``inf``
+    beyond the float range.
     """
     case = _require_case(hyp, CaseTag.VANISHING, "vanishing_level")
     if psi_at_k0 < 0.0:
         raise ValueError("psi_at_k0 must be nonnegative")
     B = max(hyp.B, hyp.C)
     C = min(hyp.B, hyp.C)
-    c1, A, D, k0 = hyp.c1, hyp.A, hyp.D, hyp.k0
-    one_plus = (1.0 + psi_at_k0) ** B
-    third = (c1 * 2.0 ** (1.0 + D) * one_plus) ** (1.0 / (D - A))
-    fourth = (
-        c1 ** (C / (C - 1.0))
-        * one_plus
-        * 2.0 ** (D + 1.0 + (A + D + 1.0) / (C - 1.0) + D / (C - 1.0) ** 2)
-    ) ** ((C - 1.0) / ((D - A) * C))
+    A, D, k0 = hyp.A, hyp.D, hyp.k0
+    log_c1 = math.log(hyp.c1)
+    log_one_plus = B * math.log1p(psi_at_k0)
+    third = _exp((log_c1 + (1.0 + D) * _LOG2 + log_one_plus) / (D - A))
+    fourth = _exp(
+        (
+            C / (C - 1.0) * log_c1
+            + log_one_plus
+            + (D + 1.0 + (A + D + 1.0) / (C - 1.0) + D / (C - 1.0) ** 2) * _LOG2
+        )
+        * (C - 1.0)
+        / ((D - A) * C)
+    )
     L = max(1.0, 2.0 * k0, third, fourth)
     return EnvelopeConstants(case=case, L=L)
 
 
-def _constants_for(hyp: DecayHypothesis, psi_at_k0: float) -> EnvelopeConstants:
+def envelope_constants(hyp: DecayHypothesis, psi_at_k0: float) -> EnvelopeConstants:
+    """Envelope constants of the hypothesis' case.
+
+    Dispatches to :func:`power_decay_constants`, :func:`exp_decay_tau` or
+    :func:`vanishing_level`; raises :class:`WrongCaseError` for an
+    unclassified hypothesis.
+    """
     case = classify(hyp)
     if case.tag is CaseTag.POWER_DECAY:
         return power_decay_constants(hyp, psi_at_k0)
@@ -247,24 +300,27 @@ def _constants_for(hyp: DecayHypothesis, psi_at_k0: float) -> EnvelopeConstants:
     raise WrongCaseError("hypothesis is Unclassified; no envelope exists")
 
 
-def _envelope_value(
-    hyp: DecayHypothesis, env: EnvelopeConstants, psi_at_k0: float, k: float
-) -> float:
-    if not k >= hyp.k0:
-        raise ValueError(f"level k={k} is below the hypothesis origin k0={hyp.k0}")
+def _envelope_logs(hyp: DecayHypothesis, psi_at_k0: float, k):
+    """The envelope at levels k >= k0 as ``scale * exp(log_factor)``.
+
+    Returns ``(scale, log_factor)`` with log_factor a numpy value of the
+    shape of k: log c_bar - lam log k with scale 1 (power decay),
+    1 - ((k - k0)/tau)**((D-A)/D) with scale psi(k0) (exponential decay),
+    0 below 2L and -inf from 2L on with scale psi(k0) (vanishing).  The
+    constants enter through their logs, so no level underflows or
+    overflows the envelope.
+    """
+    env = envelope_constants(hyp, psi_at_k0)
     tag = env.case.tag
-    if tag is CaseTag.POWER_DECAY:
-        if k == 0.0:
-            return math.inf
-        return env.c_bar * k ** (-env.lam)
-    if tag is CaseTag.EXPONENTIAL_DECAY:
-        if k == hyp.k0:
-            return psi_at_k0 * math.e
-        exponent = 1.0 - ((k - hyp.k0) / env.tau) ** ((hyp.D - hyp.A) / hyp.D)
-        return psi_at_k0 * math.exp(exponent)
-    if tag is CaseTag.VANISHING:
-        return psi_at_k0 if k < 2.0 * env.L else 0.0
-    raise WrongCaseError("hypothesis is Unclassified; no envelope exists")
+    with np.errstate(divide="ignore", over="ignore"):
+        if tag is CaseTag.POWER_DECAY:
+            lam, _, log_c_bar = _power_logs(hyp, psi_at_k0)
+            return 1.0, log_c_bar - lam * np.log(k)
+        if tag is CaseTag.EXPONENTIAL_DECAY:
+            log_tau = max(math.log1p(hyp.k0), _log_tau_term(hyp))
+            theta = (hyp.D - hyp.A) / hyp.D
+            return psi_at_k0, 1.0 - np.exp(theta * (np.log(k - hyp.k0) - log_tau))
+    return psi_at_k0, np.where(k < 2.0 * env.L, 0.0, -np.inf)
 
 
 def envelope(hyp: DecayHypothesis, psi_at_k0: float, k: float) -> float:
@@ -276,8 +332,11 @@ def envelope(hyp: DecayHypothesis, psi_at_k0: float, k: float) -> float:
     and beyond it.  Raises :class:`ValueError` for k below k0 and
     :class:`WrongCaseError` for unclassified hypotheses.
     """
-    env = _constants_for(hyp, psi_at_k0)
-    return _envelope_value(hyp, env, psi_at_k0, k)
+    if not k >= hyp.k0:
+        raise ValueError(f"level k={k} is below the hypothesis origin k0={hyp.k0}")
+    scale, log_factor = _envelope_logs(hyp, psi_at_k0, float(k))
+    with np.errstate(over="ignore"):
+        return float(scale * np.exp(log_factor))
 
 
 # --------------------------------------------------------------------------
@@ -347,29 +406,46 @@ class PsiTable:
 # --------------------------------------------------------------------------
 # pair strategies and checks
 # --------------------------------------------------------------------------
-Pair = Tuple[float, float, float, float]  # (h, k, psi_h, psi_k)
+#: A batch of pairs as arrays (h, k, psi_h, psi_k), in the strategy's order.
+Batch = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _table_arrays(table: PsiTable) -> Tuple[np.ndarray, np.ndarray]:
+    return np.array(table.knots), np.array(table.values)
 
 
 class AllKnotPairs:
-    """Every ordered knot pair (h, k) with h > k."""
+    """Every ordered knot pair (h, k) with h > k.
 
-    def pairs(self, table: PsiTable) -> Iterator[Pair]:
-        knots, values = table.knots, table.values
-        for i in range(len(knots)):
-            for j in range(i + 1, len(knots)):
-                yield knots[j], knots[i], values[j], values[i]
+    Pairs come row by row, k = knots[i] with h = knots[j] for j > i, in
+    batches of whole rows holding about 2**16 pairs.
+    """
+
+    def pair_arrays(self, table: PsiTable) -> Iterator[Batch]:
+        knots, values = _table_arrays(table)
+        n = knots.size
+        step = max(1, _BATCH_PAIRS // n)
+        for start in range(0, n - 1, step):
+            stop = min(start + step, n - 1)
+            counts = n - 1 - np.arange(start, stop)
+            yield (
+                np.concatenate([knots[row + 1:] for row in range(start, stop)]),
+                np.repeat(knots[start:stop], counts),
+                np.concatenate([values[row + 1:] for row in range(start, stop)]),
+                np.repeat(values[start:stop], counts),
+            )
 
 
 class Doubling:
     """Only the pairs (h, k) = (2k, k); psi(2k) uses the step convention."""
 
-    def pairs(self, table: PsiTable) -> Iterator[Pair]:
-        top = table.knots[-1]
-        for k, v in zip(table.knots, table.values):
-            h = 2.0 * k
-            if h > top or h <= k:
-                continue
-            yield h, k, table.evaluate(h), v
+    def pair_arrays(self, table: PsiTable) -> Iterator[Batch]:
+        knots, values = _table_arrays(table)
+        with np.errstate(over="ignore"):
+            h = 2.0 * knots
+        keep = (h <= knots[-1]) & (h > knots)
+        psi_h = values[np.searchsorted(knots, h[keep], side="right") - 1]
+        yield h[keep], knots[keep], psi_h, values[keep]
 
 
 class RandomPairs:
@@ -381,15 +457,51 @@ class RandomPairs:
         self.count = int(count)
         self.seed = int(seed)
 
-    def pairs(self, table: PsiTable) -> Iterator[Pair]:
-        n = len(table.knots)
+    def pair_arrays(self, table: PsiTable) -> Iterator[Batch]:
+        knots, values = _table_arrays(table)
+        n = knots.size
         if n < 2:
             return
         rng = random.Random(self.seed)
-        for _ in range(self.count):
-            i = rng.randrange(0, n - 1)
-            j = rng.randrange(i + 1, n)
-            yield table.knots[j], table.knots[i], table.values[j], table.values[i]
+        for start in range(0, self.count, _BATCH_PAIRS):
+            lower, upper = [], []
+            for _ in range(min(_BATCH_PAIRS, self.count - start)):
+                i = rng.randrange(0, n - 1)
+                lower.append(i)
+                upper.append(rng.randrange(i + 1, n))
+            yield knots[upper], knots[lower], values[upper], values[lower]
+
+
+def _scan(log_lhs, log_rhs) -> Tuple[np.ndarray, int, Optional[int]]:
+    """Ratios exp(log_lhs - log_rhs), with 0/0 -> 0 and positive/0 -> +inf.
+
+    Returns the ratios, the index of the first largest one and the index
+    of the first one above 1 (None if there is none).
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = log_lhs - log_rhs
+        ratios = np.exp(np.where(np.isnan(diff), -np.inf, diff))
+    over = np.flatnonzero(ratios > 1.0)
+    return ratios, int(np.argmax(ratios)), int(over[0]) if over.size else None
+
+
+def _pair_scan(
+    h, k, lhs, base, c1: float, A: float, B: float, C: float, D: float
+) -> Tuple[np.ndarray, int, Optional[int]]:
+    """:func:`_scan` of lhs / (c1 (h^A base^B + base^C) / (h-k)^D) over pairs.
+
+    ``h``, ``k``, ``lhs`` and ``base`` are arrays with h > k >= 0 and
+    nonnegative lhs and base; the right-hand side enters through its log,
+    with logaddexp for the two-term sum.
+    """
+    with np.errstate(divide="ignore"):
+        log_base = np.log(base)
+        log_rhs = (
+            math.log(c1)
+            + np.logaddexp(A * np.log(h) + B * log_base, C * log_base)
+            - D * np.log(h - k)
+        )
+        return _scan(np.log(lhs), log_rhs)
 
 
 @dataclass(frozen=True)
@@ -397,7 +509,7 @@ class CheckReport:
     """Result of verifying the level-set inequality on sampled pairs.
 
     ``max_ratio`` is the maximum of lhs/rhs over pairs (<= 1 means the
-    inequality holds on the sample); ``worst_pair`` is the (h, k)
+    inequality holds on the sample); ``worst_pair`` is the first (h, k)
     attaining it; ``first_violation`` is the first sampled pair with
     ratio > 1, or None.
     """
@@ -414,10 +526,14 @@ def check_hypothesis(
 ) -> CheckReport:
     """Check the inequality psi(h) <= c1 (h^A psi(k)^B + psi(k)^C)/(h-k)^D.
 
-    Ratios are lhs/rhs per sampled pair: 0/0 counts as 0 (the inequality
-    is trivially satisfied) and positive/0 as +inf.  Raises
-    :class:`ValueError` when the table lies below the hypothesis origin
-    or the strategy produces no pairs.
+    ``strategy`` supplies the pairs as array batches through its
+    ``pair_arrays(table)`` method (:class:`AllKnotPairs`,
+    :class:`Doubling`, :class:`RandomPairs`); "first" refers to that
+    order.  Ratios are lhs/rhs per pair, computed from logs: 0/0 counts
+    as 0 (the inequality is trivially satisfied), positive/0 as +inf, and
+    a ratio beyond the float range as +inf.  Raises :class:`ValueError`
+    when the table lies below the hypothesis origin or the strategy
+    produces no pairs.
     """
     if table.k0 < hyp.k0:
         raise ValueError(
@@ -427,21 +543,18 @@ def check_hypothesis(
     worst_pair: Optional[Tuple[float, float]] = None
     first_violation: Optional[Tuple[float, float]] = None
     count = 0
-    for h, k, psi_h, psi_k in strategy.pairs(table):
-        count += 1
-        structure = (h**hyp.A * psi_k**hyp.B + psi_k**hyp.C) / (h - k) ** hyp.D
-        rhs = hyp.c1 * structure
-        if rhs > 0.0:
-            ratio = psi_h / rhs
-        elif psi_h == 0.0:
-            ratio = 0.0
-        else:
-            ratio = math.inf
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst_pair = (h, k)
-        if ratio > 1.0 and first_violation is None:
-            first_violation = (h, k)
+    for h, k, psi_h, psi_k in strategy.pair_arrays(table):
+        if h.size == 0:
+            continue
+        count += h.size
+        ratios, worst, over = _pair_scan(
+            h, k, psi_h, psi_k, hyp.c1, hyp.A, hyp.B, hyp.C, hyp.D
+        )
+        if ratios[worst] > max_ratio:
+            max_ratio = float(ratios[worst])
+            worst_pair = (float(h[worst]), float(k[worst]))
+        if first_violation is None and over is not None:
+            first_violation = (float(h[over]), float(k[over]))
     if count == 0:
         raise ValueError("pair strategy produced no pairs on this table")
     return CheckReport(
@@ -458,8 +571,9 @@ class EnvelopeReport:
     """Result of comparing a table against the claimed envelope.
 
     ``max_ratio`` is the maximum of psi(knot)/envelope(knot); 0/0 counts
-    as 0 and positive/0 as +inf.  ``first_violation`` is the first knot
-    where the ratio exceeds 1, or None.
+    as 0, positive/0 and ratios beyond the float range as +inf.
+    ``first_violation`` is the first knot where the ratio exceeds 1, or
+    None.
     """
 
     max_ratio: float
@@ -470,29 +584,25 @@ class EnvelopeReport:
 def check_envelope(
     table: PsiTable, hyp: DecayHypothesis, psi_at_k0: float
 ) -> EnvelopeReport:
-    """Check the case's claimed envelope against every table knot."""
+    """Check the case's claimed envelope against every table knot.
+
+    Each ratio is exp(log psi(knot) - log envelope(knot)), with the
+    envelope's constants entering through their logs, so a knot far out
+    in the tail does not underflow the envelope to 0.
+    """
     if table.k0 < hyp.k0:
         raise ValueError(
             f"table origin k0={table.k0} lies below hypothesis k0={hyp.k0}"
         )
-    env = _constants_for(hyp, psi_at_k0)
-    max_ratio = 0.0
-    first_violation: Optional[float] = None
-    for knot, value in zip(table.knots, table.values):
-        bound = _envelope_value(hyp, env, psi_at_k0, knot)
-        if bound > 0.0:
-            ratio = value / bound
-        elif value == 0.0:
-            ratio = 0.0
-        else:
-            ratio = math.inf
-        max_ratio = max(max_ratio, ratio)
-        if ratio > 1.0 and first_violation is None:
-            first_violation = knot
+    knots, values = _table_arrays(table)
+    scale, log_factor = _envelope_logs(hyp, psi_at_k0, knots)
+    with np.errstate(divide="ignore"):
+        ratios, worst, over = _scan(np.log(values), np.log(scale) + log_factor)
+    max_ratio = float(ratios[worst])
     return EnvelopeReport(
         max_ratio=max_ratio,
         passed=max_ratio <= 1.0,
-        first_violation=first_violation,
+        first_violation=None if over is None else float(knots[over]),
     )
 
 

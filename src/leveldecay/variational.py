@@ -30,6 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exponents import ProblemParams, Regime, classify_regime, compute_exponents
+from .lemma import _pair_scan
 from .marcinkiewicz import (
     DistributionProfile,
     FitResult,
@@ -73,6 +74,12 @@ _SHIFT_START = 1e-8
 #: Newton decrements below this fraction of |E| are lost in the rounding
 #: of the energy, so no line search can resolve them.
 _ROUNDOFF = float(np.finfo(float).eps)
+
+#: Past that resolution, a full Newton step is kept only when it cuts the
+#: gradient norm by this factor: a step still converging cuts it by far
+#: more, while steps at the rounding floor of the gradient only reshuffle
+#: its noise and would be kept about half the time.
+_ROUNDOFF_GAIN = 0.5
 
 #: Number of levels in the profiles recorded by the experiments.
 _PROFILE_LEVELS = 97
@@ -341,10 +348,12 @@ class MinimizeReport:
 
     ``status`` is "converged" (gradient norm reached grad_tol),
     "roundoff" (the Newton decrement fell below what the energy can
-    resolve, about machine epsilon times |E|, before the gradient norm
-    reached grad_tol), "stagnated" (no step above the step floor
-    decreases the energy, or no shift makes the Hessian positive
-    definite) or "max_iters".  ``final_gradient_norm`` is the gradient
+    resolve, about machine epsilon times |E|, and the full Newton step
+    did not halve the gradient norm either, before it reached
+    grad_tol), "stagnated" (no step above the step floor decreases the
+    energy, or no shift makes the Hessian positive definite) or
+    "max_iters".  A full Newton step taken past the energy's resolution
+    counts as an iteration.  ``final_gradient_norm`` is the gradient
     norm at ``final_field``.  ``energy_trace`` holds the energy at the
     start and after every accepted iteration, so its length is
     iterations + 1.
@@ -359,6 +368,11 @@ class MinimizeReport:
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+
+def _dual_norm(g: np.ndarray, metric: np.ndarray) -> float:
+    """L^2(mu)-dual norm sqrt(g . g / metric) of a Euclidean gradient."""
+    return math.sqrt(float(g @ (g / metric)))
 
 
 def _line_search(u, direction, energy, decrement, args) -> Optional[Tuple[np.ndarray, float]]:
@@ -386,10 +400,15 @@ def minimize(
     measures (the Riesz map of the L^2(mu) inner product).  sigma = 0
     unless the noncoercive Hessian is indefinite; then a Levenberg shift
     is raised until the matrix is positive definite.  An Armijo
-    backtracking line search from the full step then moves along d.  The
-    solve stops when the gradient norm reaches ``grad_tol`` or when the
-    Newton decrement -g.d is below the resolution of the energy; see
-    ``MinimizeReport`` for the statuses.
+    backtracking line search from the full step then moves along d.
+    When the Newton decrement -g.d is below the resolution of the energy
+    (about machine epsilon times |E|), the energy cannot rank steps any
+    more: the full step is then taken if it at least halves the
+    L^2(mu)-dual gradient norm, and the solve ends "roundoff" if it does
+    not.  On fine grids the last residual sits at the first nodes, whose
+    tiny nodal measures make the gradient norm see an error the energy
+    cannot.  The solve stops when the gradient norm reaches
+    ``grad_tol``; see ``MinimizeReport`` for the statuses.
     """
     u = initial.nodal_values.copy()
     _check_compatible(u, grid, spec)
@@ -412,7 +431,7 @@ def minimize(
         iterations = 0
         while True:
             g = _gradient(u, *args)
-            grad_norm = math.sqrt(float(g @ (g / metric)))
+            grad_norm = _dual_norm(g, metric)
             if grad_norm <= tolerances.grad_tol:
                 status = "converged"
                 break
@@ -425,9 +444,20 @@ def minimize(
                 break
             decrement = -float(g @ direction)
             if decrement <= _ROUNDOFF * abs(energy):
-                status = "roundoff"
-                break
-            accepted = _line_search(u, direction, energy, decrement, args)
+                # the energy cannot rank this step; the gradient norm can
+                trial = u.copy()
+                trial[:-1] += direction
+                trial_energy = _energy(trial, *args)
+                if not (
+                    math.isfinite(trial_energy)
+                    and _dual_norm(_gradient(trial, *args), metric)
+                    <= _ROUNDOFF_GAIN * grad_norm
+                ):
+                    status = "roundoff"
+                    break
+                accepted = trial, trial_energy
+            else:
+                accepted = _line_search(u, direction, energy, decrement, args)
             if accepted is None:
                 status = "stagnated"
                 break
@@ -483,10 +513,11 @@ def level_profile(field: DiscreteField, grid: RadialGrid, levels) -> Distributio
 class LevelsetReport:
     """Residuals of the level-set inequality |A_h| <= (h^A |A_k|^B + |A_k|^C)/(h-k)^D.
 
-    ``residuals`` holds (h, k, ratio) for every pair with |A_k| > 0;
-    pairs whose lower level already empties the superlevel set are listed
-    in ``skipped``.  ``constant`` is the smallest c making the inequality
-    hold on the sampled pairs (the largest ratio), or 0.0 if none remain.
+    ``residuals`` holds (h, k, ratio) for every pair with |A_k| > 0, in
+    the order of the pairs; pairs whose lower level already empties the
+    superlevel set are listed in ``skipped``.  ``constant`` is the
+    smallest c making the inequality hold on the sampled pairs (the
+    largest ratio), or 0.0 if none remain.
     """
 
     residuals: List[Tuple[float, float, float]]
@@ -503,31 +534,35 @@ def levelset_inequality_check(
     """Evaluate the level-set decay inequality on the given (h, k) pairs.
 
     The exponents (A, B, C, D) come from the problem parameters; the
-    superlevel sets use the same cell midpoint convention as
-    ``level_profile``.  Every pair must satisfy h > k > 0.
+    superlevel-set measures of all pair levels come from one
+    ``level_profile`` call, so the cost is O((P + N) log N) for P pairs
+    on N cells.  Ratios are computed from logs by the pair kernel of
+    ``check_hypothesis`` with c1 = 1 (a ratio beyond the float range
+    reads inf).  Every pair must satisfy h > k > 0 with h finite.
     """
-    u = field.nodal_values
-    _check_compatible(u, grid, spec)
-    exps = compute_exponents(spec.params)
-    a_exp, b_exp, c_exp, d_exp = exps.hyp.A, exps.hyp.B, exps.hyp.C, exps.hyp.D
-    midvalues = np.abs(0.5 * (u[:-1] + u[1:]))
-    meas = grid.cell_measures
-    residuals: List[Tuple[float, float, float]] = []
-    skipped: List[Tuple[float, float]] = []
-    for h, k in pairs:
-        h = float(h)
-        k = float(k)
-        if not h > k > 0.0:
-            raise ValueError(f"pairs must satisfy h > k > 0, got ({h}, {k})")
-        measure_k = float(np.sum(meas[midvalues >= k]))
-        if measure_k == 0.0:
-            skipped.append((h, k))
-            continue
-        measure_h = float(np.sum(meas[midvalues >= h]))
-        rhs = (h**a_exp * measure_k**b_exp + measure_k**c_exp) / (h - k) ** d_exp
-        residuals.append((h, k, measure_h / rhs))
-    constant = max((ratio for _, _, ratio in residuals), default=0.0)
-    return LevelsetReport(residuals=residuals, skipped=skipped, constant=constant)
+    _check_compatible(field.nodal_values, grid, spec)
+    hyp = compute_exponents(spec.params).hyp
+    levels = np.array(pairs, dtype=float).reshape(-1, 2)
+    h, k = levels[:, 0], levels[:, 1]
+    bad = np.flatnonzero(~((h > k) & (k > 0.0) & np.isfinite(h)))
+    if bad.size:
+        raise ValueError(
+            f"pairs must satisfy h > k > 0, got ({h[bad[0]]}, {k[bad[0]]})"
+        )
+    unique, index = np.unique(levels, return_inverse=True)
+    measures = level_profile(field, grid, unique).measures[index].reshape(-1, 2)
+    kept = measures[:, 1] > 0.0
+    skipped = [(float(a), float(b)) for a, b in levels[~kept]]
+    if not kept.any():
+        return LevelsetReport(residuals=[], skipped=skipped, constant=0.0)
+    ratios, worst, _ = _pair_scan(
+        h[kept], k[kept], measures[kept, 0], measures[kept, 1],
+        1.0, hyp.A, hyp.B, hyp.C, hyp.D,
+    )
+    residuals = list(zip(h[kept].tolist(), k[kept].tolist(), ratios.tolist()))
+    return LevelsetReport(
+        residuals=residuals, skipped=skipped, constant=float(ratios[worst])
+    )
 
 
 # --------------------------------------------------------------------------

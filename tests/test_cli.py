@@ -104,6 +104,32 @@ def test_constants_missing_key_named(tmp_path, capsys):
     assert "D" in capsys.readouterr().err
 
 
+def test_constants_beyond_float_range_read_inf(tmp_path, capsys):
+    # lambda = 1000 puts M = 2^1000 * 2^1002000 far past the float range.
+    cfg = write(
+        tmp_path / "c.ini",
+        "[lemma]\nc1 = 2.0\nA = 1.0\nB = 0.999\nC = 0.998\nD = 2.0\n",
+    )
+    assert main(["constants", "--config", cfg]) == 0
+    rows = parse_csv(capsys.readouterr().out)
+    assert rows[0]["case"] == "PowerDecay"
+    assert float(rows[0]["lambda"]) == pytest.approx(1000.0, rel=1e-12)
+    assert rows[0]["M"] == "inf"
+    assert rows[0]["c_bar"] == "inf"
+
+
+def test_constants_unclassified_prints_empty_row(tmp_path, capsys):
+    cfg = write(
+        tmp_path / "c.ini",
+        "[lemma]\nc1 = 1.0\nA = 2.0\nB = 0.75\nC = 0.25\nD = 4.0\n",
+    )
+    assert main(["constants", "--config", cfg]) == 0
+    rows = parse_csv(capsys.readouterr().out)
+    assert rows[0] == {
+        "case": "Unclassified", "lambda": "", "M": "", "c_bar": "", "tau": "", "L": ""
+    }
+
+
 # ---------------------------------------------------------------- exponents
 def test_exponents_sobolev_row(tmp_path, capsys):
     cfg = write(tmp_path / "c.ini", PROBLEM_SOBOLEV)
@@ -192,6 +218,26 @@ def test_verify_log_square_vs_exp_envelope(tmp_path, capsys):
     level = float(out["first_violation"])
     # [DERIVED]: tau = 85.39, first violating knot is 2^32 = 4.295e9
     assert 1e9 < level < 1e11
+    assert out["result"] == "violation"
+
+
+def test_verify_knot_at_1e200(tmp_path, capsys):
+    # h**A and the power envelope at k = 1e200 leave the float range in
+    # linear space; the log-space checks report a finite hypothesis ratio.
+    # The envelope ratio there is about e^3190, so it reads inf.
+    knots = np.append(np.geomspace(1.0, 1000.0, 63), 1e200).tolist()
+    values = [min(1.0, 1.3 / k) for k in knots]
+    psi = _write_psi_csv(tmp_path / "psi.csv", knots, values)
+    cfg = write(
+        tmp_path / "c.ini",
+        "[lemma]\nc1 = 1.0\nA = 2.0\nB = 0.75\nC = 0.5\nD = 4.0\nk0 = 1.0\n",
+    )
+    assert main(["verify", "--config", cfg, "--psi", psi]) in (0, 1)
+    out = parse_kv(capsys.readouterr().out)
+    assert out["pair_count"] == "2016"
+    assert math.isfinite(float(out["hypothesis_max_ratio"]))
+    assert out["hypothesis_passed"] == "False"
+    assert out["envelope_max_ratio"] == "inf"
     assert out["result"] == "violation"
 
 

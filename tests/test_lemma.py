@@ -1,13 +1,16 @@
 """Oracle tests for the decay-lemma engine.
 
 Envelope-constant expectations are frozen from hand evaluation of the
-closed formulas; recursion oracles come from exact rational iteration.
+closed formulas; recursion oracles come from exact rational iteration;
+the vectorized log-space pair checks are compared with the scalar
+linear-space loop they replaced.
 """
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from leveldecay.lemma import (
     AllKnotPairs,
@@ -21,6 +24,7 @@ from leveldecay.lemma import (
     check_hypothesis,
     classify,
     envelope,
+    envelope_constants,
     exp_decay_tau,
     giusti_recursion,
     level_sequence,
@@ -164,6 +168,27 @@ def test_vanishing_level_monotone_in_c1_and_psi():
 def test_vanishing_level_wrong_case():
     with pytest.raises(WrongCaseError):
         vanishing_level(DecayHypothesis(1.0, 1.0, 1.0, 1.0, 2.0, 0.0), 1.0)
+
+
+# ---------------------------------------------------------------- constants dispatch
+def test_envelope_constants_dispatches_by_case():
+    power = DecayHypothesis(1.0, A=2.0, B=0.75, C=0.5, D=4.0, k0=1.0)
+    expo = DecayHypothesis(1.0, A=1.0, B=1.0, C=1.0, D=2.0, k0=1.0)
+    vanish = DecayHypothesis(1.0, A=1.0, B=3.0, C=2.0, D=2.0, k0=1.0)
+    assert envelope_constants(power, 0.5) == power_decay_constants(power, 0.5)
+    assert envelope_constants(expo, 0.5) == exp_decay_tau(expo)
+    assert envelope_constants(vanish, 0.5) == vanishing_level(vanish, 0.5)
+    with pytest.raises(WrongCaseError):
+        envelope_constants(DecayHypothesis(1.0, 2.0, 0.75, 0.25, 4.0, 0.0), 0.5)
+
+
+def test_constants_beyond_float_range_read_inf():
+    # D - A = 1e-3 raises the power products to the 1000th power.
+    assert exp_decay_tau(DecayHypothesis(1e3, 1.0, 1.0, 1.0, 1.001, 0.0)).tau == math.inf
+    assert vanishing_level(DecayHypothesis(1e3, 1.0, 3.0, 2.0, 1.001, 0.0), 1.0).L == math.inf
+    env = power_decay_constants(DecayHypothesis(2.0, 1.0, 0.999, 0.998, 2.0, 0.0), 1.0)
+    assert env.lam == pytest.approx(1000.0, rel=1e-12)
+    assert env.M == env.c_bar == math.inf
 
 
 # ---------------------------------------------------------------- envelope
@@ -339,6 +364,157 @@ def test_scale_covariance_exponential_case():
     assert r2.max_ratio == pytest.approx(r1.max_ratio, rel=1e-12)
 
 
+# ---------------------------------------------------------------- scalar oracle
+# The scalar pair loop that check_hypothesis ran before its vectorized
+# log-space kernel, with the pair orders of the three strategies.
+def _oracle_all_pairs(table):
+    knots, values = table.knots, table.values
+    for i in range(len(knots)):
+        for j in range(i + 1, len(knots)):
+            yield knots[j], knots[i], values[j], values[i]
+
+
+def _oracle_doubling(table):
+    top = table.knots[-1]
+    for k, v in zip(table.knots, table.values):
+        h = 2.0 * k
+        if h > top or h <= k:
+            continue
+        yield h, k, table.evaluate(h), v
+
+
+def _oracle_random(count, seed):
+    def pairs(table):
+        n = len(table.knots)
+        if n < 2:
+            return
+        rng = random.Random(seed)
+        for _ in range(count):
+            i = rng.randrange(0, n - 1)
+            j = rng.randrange(i + 1, n)
+            yield table.knots[j], table.knots[i], table.values[j], table.values[i]
+
+    return pairs
+
+
+def _oracle_ratios(table, hyp, pairs):
+    """(h, k, ratio) per pair, in linear space: 0/0 -> 0, positive/0 -> inf."""
+    out = []
+    for h, k, psi_h, psi_k in pairs(table):
+        structure = (h**hyp.A * psi_k**hyp.B + psi_k**hyp.C) / (h - k) ** hyp.D
+        rhs = hyp.c1 * structure
+        if rhs > 0.0:
+            ratio = psi_h / rhs
+        elif psi_h == 0.0:
+            ratio = 0.0
+        else:
+            ratio = math.inf
+        out.append((h, k, ratio))
+    return out
+
+
+def _oracle_report(rows):
+    max_ratio = -math.inf
+    worst_pair = first_violation = None
+    for h, k, ratio in rows:
+        if ratio > max_ratio:
+            max_ratio = ratio
+            worst_pair = (h, k)
+        if ratio > 1.0 and first_violation is None:
+            first_violation = (h, k)
+    return max_ratio, worst_pair, first_violation
+
+
+@st.composite
+def _tables_and_hypotheses(draw):
+    """Nonincreasing tables on knots 10**(e/4) up to 1e150, with zero tails.
+
+    Values stay in {0} U [1e-6, 1] and exponents in [0.05, 1.5], so no
+    linear-space power of the oracle leaves the normal float range.
+    """
+    exps = draw(st.lists(st.integers(-8, 600), min_size=1, max_size=40, unique=True))
+    knots = [10.0 ** (e / 4.0) for e in sorted(exps)]
+    if draw(st.booleans()):
+        values = [0.0] * len(knots)
+    else:
+        v = 10.0 ** -draw(st.floats(0.0, 2.0))
+        values = []
+        for _ in knots:
+            values.append(v)
+            v *= 10.0 ** -draw(st.floats(0.0, 0.1))
+        tail = draw(st.integers(0, len(knots)))
+        values[len(knots) - tail:] = [0.0] * tail
+    A = draw(st.floats(0.05, 1.4))
+    hyp = DecayHypothesis(
+        c1=10.0 ** draw(st.floats(-3.0, 3.0)),
+        A=A,
+        B=draw(st.floats(0.1, 1.5)),
+        C=draw(st.floats(0.1, 1.5)),
+        D=draw(st.floats(A + 0.05, 1.5)),
+        k0=0.0,
+    )
+    return PsiTable(knots, values, k0=0.0), hyp
+
+
+_STRATEGY_PAIRS = {
+    "all": (AllKnotPairs(), _oracle_all_pairs),
+    "doubling": (Doubling(), _oracle_doubling),
+    "random": (RandomPairs(count=97, seed=5), _oracle_random(97, 5)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    drawn=_tables_and_hypotheses(),
+    name=st.sampled_from(sorted(_STRATEGY_PAIRS)),
+)
+def test_check_hypothesis_matches_scalar_oracle(drawn, name):
+    table, hyp = drawn
+    strategy, oracle_pairs = _STRATEGY_PAIRS[name]
+    rows = _oracle_ratios(table, hyp, oracle_pairs)
+    if not rows:
+        with pytest.raises(ValueError):
+            check_hypothesis(table, hyp, strategy)
+        return
+    max_ratio, worst_pair, first_violation = _oracle_report(rows)
+    assert math.isfinite(max_ratio)
+    # no near-ties: the worst pair and the side of 1 are well defined
+    ratios = sorted(ratio for _, _, ratio in rows)
+    assume(max_ratio == 0.0 or len(ratios) == 1 or ratios[-2] < max_ratio * (1.0 - 1e-9))
+    assume(all(abs(ratio - 1.0) > 1e-9 for ratio in ratios))
+    rep = check_hypothesis(table, hyp, strategy)
+    assert rep.max_ratio == pytest.approx(max_ratio, rel=1e-12, abs=0.0)
+    assert rep.pair_count == len(rows)
+    assert rep.passed == (max_ratio <= 1.0)
+    assert rep.worst_pair == worst_pair
+    assert rep.first_violation == first_violation
+
+
+def test_all_knot_pairs_batches_keep_row_order():
+    # 700 knots span several 2**16-pair batches; the pair order is row-major.
+    knots = [float(j) for j in range(700)]
+    table = PsiTable(knots, [1.0] * len(knots), k0=0.0)
+    batches = list(AllKnotPairs().pair_arrays(table))
+    assert len(batches) > 1
+    h = np.concatenate([b[0] for b in batches])
+    k = np.concatenate([b[1] for b in batches])
+    want = [(hh, kk) for hh, kk, _, _ in _oracle_all_pairs(table)]
+    assert list(zip(h.tolist(), k.tolist())) == want
+
+
+def test_check_hypothesis_far_knot_has_finite_ratio():
+    # h = 1e200 with A = 2 overflows h**A in linear space; the log-space
+    # ratio psi(h) (h-k)^D / (h^A psi(k)^B + psi(k)^C) is about 1e200.
+    table = PsiTable([1.0, 2.0, 1e200], [1.0, 0.5, 1e-200], k0=1.0)
+    hyp = DecayHypothesis(1.0, A=2.0, B=0.75, C=0.5, D=4.0, k0=1.0)
+    rep = check_hypothesis(table, hyp, AllKnotPairs())
+    assert rep.pair_count == 3
+    assert rep.worst_pair == (1e200, 2.0)
+    # h - k = h and psi(k)^C is below h^A psi(k)^B by 400 decades
+    assert rep.max_ratio == pytest.approx(1e-200 * 1e200 * 1e200 / 0.5**0.75, rel=1e-12)
+    assert rep.first_violation == (1e200, 1.0)
+
+
 # ---------------------------------------------------------------- envelope checks
 def test_check_envelope_power_min_table():
     # psi(k) = min(1, k^-8) is dominated by any power envelope with
@@ -375,6 +551,18 @@ def test_check_envelope_reports_first_violation():
     assert not rep.passed
     assert rep.first_violation == knots[3]
     assert rep.max_ratio >= 1.5 - 1e-9
+
+
+def test_check_envelope_far_tail_does_not_underflow():
+    # c_bar * k**-8 underflows to 0 at k = 1e41 in linear space, which
+    # would make the representable psi there an infinite ratio.
+    hyp = DecayHypothesis(1.0, A=2.0, B=0.75, C=0.5, D=4.0, k0=1.0)
+    c_bar = power_decay_constants(hyp, 1.0).c_bar
+    t = PsiTable(knots=[1.0, 1e41], values=[1.0, 2e-313], k0=1.0)
+    rep = check_envelope(t, hyp, psi_at_k0=1.0)
+    assert rep.passed
+    want = math.exp(math.log(2e-313) - math.log(c_bar) + 8.0 * math.log(1e41))
+    assert rep.max_ratio == pytest.approx(want, rel=1e-9)
 
 
 # ---------------------------------------------------------------- giusti recursion
