@@ -27,7 +27,12 @@ never overflow.  Envelope constants are computed as logs and returned
 as floats, ``inf`` when they exceed the float range.  Every check ratio
 lhs/rhs is ``exp(log lhs - log rhs)`` over numpy arrays of pairs, with
 the conventions 0/0 -> 0 and positive/0 -> +inf; a ratio beyond the
-float range reads ``inf``.
+float range reads ``inf``.  The all-pairs check broadcasts a block of
+whole knot rows as one rectangle, h along its columns and k along its
+rows; the logs of knots and values are taken once per knot of the
+block, and per pair only h - k, its log, a two-term log-sum and the
+ratio are computed.  Pairs keep the row-major order k = knots[i],
+h = knots[j] for j > i, which is the order "first" refers to.
 """
 from __future__ import annotations
 
@@ -406,7 +411,8 @@ class PsiTable:
 # --------------------------------------------------------------------------
 # pair strategies and checks
 # --------------------------------------------------------------------------
-#: A batch of pairs as arrays (h, k, psi_h, psi_k), in the strategy's order.
+#: A batch of pairs as arrays (h, k, psi_h, psi_k) that broadcast against
+#: each other; its pairs are the entries with h > k, in row-major order.
 Batch = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -417,8 +423,13 @@ def _table_arrays(table: PsiTable) -> Tuple[np.ndarray, np.ndarray]:
 class AllKnotPairs:
     """Every ordered knot pair (h, k) with h > k.
 
-    Pairs come row by row, k = knots[i] with h = knots[j] for j > i, in
-    batches of whole rows holding about 2**16 pairs.
+    Pairs come row by row, k = knots[i] with h = knots[j] for j > i.  A
+    batch of whole rows [s, e), about 2**16 entries, is one broadcast
+    rectangle: h and psi(h) are the row vectors ``knots[None, s+1:]`` and
+    ``values[None, s+1:]``, k and psi(k) the column vectors
+    ``knots[s:e, None]`` and ``values[s:e, None]``.  Its pairs are the
+    entries with h > k in row-major order; the kernel reads ratio 0 on
+    the others.
     """
 
     def pair_arrays(self, table: PsiTable) -> Iterator[Batch]:
@@ -427,12 +438,11 @@ class AllKnotPairs:
         step = max(1, _BATCH_PAIRS // n)
         for start in range(0, n - 1, step):
             stop = min(start + step, n - 1)
-            counts = n - 1 - np.arange(start, stop)
             yield (
-                np.concatenate([knots[row + 1:] for row in range(start, stop)]),
-                np.repeat(knots[start:stop], counts),
-                np.concatenate([values[row + 1:] for row in range(start, stop)]),
-                np.repeat(values[start:stop], counts),
+                knots[None, start + 1:],
+                knots[start:stop, None],
+                values[None, start + 1:],
+                values[start:stop, None],
             )
 
 
@@ -472,17 +482,40 @@ class RandomPairs:
             yield knots[upper], knots[lower], values[upper], values[lower]
 
 
-def _scan(log_lhs, log_rhs) -> Tuple[np.ndarray, int, Optional[int]]:
-    """Ratios exp(log_lhs - log_rhs), with 0/0 -> 0 and positive/0 -> +inf.
+def _scan(log_ratios: np.ndarray) -> Tuple[np.ndarray, int, Optional[int]]:
+    """Ratios exp(log_ratios), computed in place, with NaN read as ratio 0.
 
-    Returns the ratios, the index of the first largest one and the index
-    of the first one above 1 (None if there is none).
+    A NaN log ratio comes from 0/0 (-inf - (-inf)) or, in a broadcast
+    block, from log(h - k) at an entry with h < k.  Returns the ratios, the
+    flat index of the first largest one and the flat index of the first
+    one above 1 (None if there is none).
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        diff = log_lhs - log_rhs
-        ratios = np.exp(np.where(np.isnan(diff), -np.inf, diff))
-    over = np.flatnonzero(ratios > 1.0)
-    return ratios, int(np.argmax(ratios)), int(over[0]) if over.size else None
+    np.fmax(log_ratios, -np.inf, out=log_ratios)
+    with np.errstate(over="ignore"):
+        ratios = np.exp(log_ratios, out=log_ratios)
+    worst = int(np.argmax(ratios))
+    over = int(np.argmax(ratios > 1.0)) if ratios.flat[worst] > 1.0 else None
+    return ratios, worst, over
+
+
+def _log_sum(x: np.ndarray, y) -> np.ndarray:
+    """log(exp(x) + exp(y)) as max(x, y) + log1p(exp(-|x - y|)).
+
+    ``x`` is an array of the broadcast shape and is overwritten.  The
+    log1p term is capped at log 2, which is its value for x = y and turns
+    the NaN of x = y = +-inf into log 2, so that case keeps its infinity
+    as with ``np.logaddexp``.
+    """
+    top = np.maximum(x, y)
+    with np.errstate(invalid="ignore"):
+        term = np.subtract(x, y, out=x)
+    np.abs(term, out=term)
+    np.negative(term, out=term)
+    np.exp(term, out=term)
+    np.log1p(term, out=term)
+    np.fmin(term, _LOG2, out=term)
+    top += term
+    return top
 
 
 def _pair_scan(
@@ -490,18 +523,24 @@ def _pair_scan(
 ) -> Tuple[np.ndarray, int, Optional[int]]:
     """:func:`_scan` of lhs / (c1 (h^A base^B + base^C) / (h-k)^D) over pairs.
 
-    ``h``, ``k``, ``lhs`` and ``base`` are arrays with h > k >= 0 and
-    nonnegative lhs and base; the right-hand side enters through its log,
-    with logaddexp for the two-term sum.
+    ``h`` and ``lhs`` are arrays of one shape, ``k`` and ``base`` of
+    another, and the pairs are the broadcast of the two: 1-D arrays of
+    equal length, or a row of h values against a column of k values.
+    The logs of h, lhs and base are taken before broadcasting; per pair
+    the kernel computes h - k, its log, the two-term log-sum of
+    A log h + B log base and C log base, and the ratio.  Entries with
+    h <= k read ratio 0.  Values must be nonnegative and h positive.
     """
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_base = np.log(base)
-        log_rhs = (
-            math.log(c1)
-            + np.logaddexp(A * np.log(h) + B * log_base, C * log_base)
-            - D * np.log(h - k)
-        )
-        return _scan(np.log(lhs), log_rhs)
+        log_lhs = np.log(lhs) - math.log(c1)
+        log_sum = _log_sum(A * np.log(h) + B * log_base, C * log_base)
+        log_ratios = np.subtract(h, k)
+        np.log(log_ratios, out=log_ratios)
+        log_ratios *= D
+        log_ratios -= log_sum
+        log_ratios += log_lhs
+    return _scan(log_ratios)
 
 
 @dataclass(frozen=True)
@@ -521,6 +560,12 @@ class CheckReport:
     first_violation: Optional[Tuple[float, float]]
 
 
+def _pair_at(h, k, shape, flat: int) -> Tuple[float, float]:
+    """The pair (h, k) at a flat index of the broadcast batch shape."""
+    at = np.unravel_index(flat, shape)
+    return float(np.broadcast_to(h, shape)[at]), float(np.broadcast_to(k, shape)[at])
+
+
 def check_hypothesis(
     table: PsiTable, hyp: DecayHypothesis, strategy
 ) -> CheckReport:
@@ -529,9 +574,12 @@ def check_hypothesis(
     ``strategy`` supplies the pairs as array batches through its
     ``pair_arrays(table)`` method (:class:`AllKnotPairs`,
     :class:`Doubling`, :class:`RandomPairs`); "first" refers to that
-    order.  Ratios are lhs/rhs per pair, computed from logs: 0/0 counts
-    as 0 (the inequality is trivially satisfied), positive/0 as +inf, and
-    a ratio beyond the float range as +inf.  Raises :class:`ValueError`
+    order (row-major within a broadcast block of :class:`AllKnotPairs`,
+    whose entries with h <= k are not pairs and are not counted).  Ratios
+    are lhs/rhs per pair, computed from logs, with log h, log psi(h) and
+    log psi(k) taken once per knot: 0/0 counts as 0 (the inequality is
+    trivially satisfied), positive/0 as +inf, and a ratio beyond the
+    float range as +inf.  Raises :class:`ValueError`
     when the table lies below the hypothesis origin or the strategy
     produces no pairs.
     """
@@ -544,17 +592,18 @@ def check_hypothesis(
     first_violation: Optional[Tuple[float, float]] = None
     count = 0
     for h, k, psi_h, psi_k in strategy.pair_arrays(table):
-        if h.size == 0:
+        pairs = int(np.count_nonzero(h > k))
+        if pairs == 0:
             continue
-        count += h.size
+        count += pairs
         ratios, worst, over = _pair_scan(
             h, k, psi_h, psi_k, hyp.c1, hyp.A, hyp.B, hyp.C, hyp.D
         )
-        if ratios[worst] > max_ratio:
-            max_ratio = float(ratios[worst])
-            worst_pair = (float(h[worst]), float(k[worst]))
+        if ratios.flat[worst] > max_ratio:
+            max_ratio = float(ratios.flat[worst])
+            worst_pair = _pair_at(h, k, ratios.shape, worst)
         if first_violation is None and over is not None:
-            first_violation = (float(h[over]), float(k[over]))
+            first_violation = _pair_at(h, k, ratios.shape, over)
     if count == 0:
         raise ValueError("pair strategy produced no pairs on this table")
     return CheckReport(
@@ -596,8 +645,9 @@ def check_envelope(
         )
     knots, values = _table_arrays(table)
     scale, log_factor = _envelope_logs(hyp, psi_at_k0, knots)
-    with np.errstate(divide="ignore"):
-        ratios, worst, over = _scan(np.log(values), np.log(scale) + log_factor)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_ratios = np.log(values) - (np.log(scale) + log_factor)
+    ratios, worst, over = _scan(log_ratios)
     max_ratio = float(ratios[worst])
     return EnvelopeReport(
         max_ratio=max_ratio,

@@ -133,18 +133,15 @@ def distribution_function(values, weights, levels) -> DistributionProfile:
         raise ValueError("weights must be nonnegative")
     lv = np.asarray(levels, dtype=float)
 
-    av = np.abs(vals)
-    order = np.argsort(av, kind="stable")
-    av_sorted = av[order]
-    # suffix[i] = total weight of the cells with the i-th smallest or larger
-    # absolute value; searchsorted(..., "left") then realizes the >= convention.
-    suffix = np.zeros(av.size + 1)
-    if av.size:
-        suffix[:-1] = np.cumsum(w[order][::-1])[::-1]
-    idx = np.searchsorted(av_sorted, lv, side="left")
-    measures = suffix[idx]
-    total = float(suffix[0]) if av.size else 0.0
-    return DistributionProfile(levels=lv, measures=measures, total_measure=total)
+    # Cells sorted by decreasing |value|: prefix[i] is the weight of the i
+    # largest, and |v| >= k counts the sorted -|v| <= -k, whose number
+    # searchsorted(..., "right") returns.
+    neg = -np.abs(vals)
+    order = np.argsort(neg, kind="stable")
+    prefix = np.zeros(vals.size + 1)
+    np.cumsum(w[order], out=prefix[1:])
+    measures = prefix[np.searchsorted(neg[order], -lv, side="right")]
+    return DistributionProfile(levels=lv, measures=measures, total_measure=prefix[-1])
 
 
 # --------------------------------------------------------------------------
@@ -395,8 +392,7 @@ def power_source(nodes, n: int, r: float, scale: float) -> PowerSource:
     if not math.isfinite(scale) or scale < 0.0:
         raise ValueError("scale must be finite and nonnegative")
     m = n * (1.0 - 1.0 / r)
-    r1, r2 = nodes[:-1], nodes[1:]
-    cell_values = scale * (n / m) * (r2**m - r1**m) / (r2**n - r1**n)
+    cell_values = scale * (n / m) * np.diff(nodes**m) / np.diff(nodes**n)
     nodes.setflags(write=False)
     cell_values.setflags(write=False)
     total = unit_ball_volume(n) * float(nodes[-1] ** n - nodes[0] ** n)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from leveldecay import lemma
 from leveldecay.lemma import (
     AllKnotPairs,
     CaseTag,
@@ -496,10 +497,109 @@ def test_all_knot_pairs_batches_keep_row_order():
     table = PsiTable(knots, [1.0] * len(knots), k0=0.0)
     batches = list(AllKnotPairs().pair_arrays(table))
     assert len(batches) > 1
-    h = np.concatenate([b[0] for b in batches])
-    k = np.concatenate([b[1] for b in batches])
+    h, k = [], []
+    for bh, bk, _, _ in batches:
+        bh, bk = np.broadcast_arrays(bh, bk)
+        keep = bh > bk
+        h.extend(bh[keep].tolist())
+        k.extend(bk[keep].tolist())
     want = [(hh, kk) for hh, kk, _, _ in _oracle_all_pairs(table)]
-    assert list(zip(h.tolist(), k.tolist())) == want
+    assert list(zip(h, k)) == want
+
+
+def _drop_table(seed):
+    """Decaying head, a 1e-6 drop at a knot past the first batch, flat after it.
+
+    With B = C = 1 the flat part's ratios (h-k)^D / (c1 (h^A + 1)) top
+    every other pair, so the worst pair and the first violation sit in
+    the first flat row.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(400, 600)
+    knots = [1.0 + j + rng.uniform(0.0, 0.5) for j in range(n)]
+    drop = rng.randint(n // 2, n - 150)
+    values = [math.exp(-0.05 * j) for j in range(drop)] + [1e-6 * math.exp(-0.05 * drop)] * (n - drop)
+    hyp = DecayHypothesis(40.0, A=1.0, B=1.0, C=1.0, D=2.0, k0=0.0)
+    return PsiTable(knots, values, k0=0.0), hyp, drop
+
+
+def _zero_tail_table(seed):
+    """Random geometric decay with a zero tail from a knot past the first batch."""
+    rng = random.Random(seed)
+    n = rng.randint(400, 600)
+    knots, values = [], []
+    k, v = 1.0, 1.0
+    for _ in range(n):
+        knots.append(k)
+        values.append(v)
+        k += rng.uniform(0.1, 2.0)
+        v *= rng.uniform(0.97, 1.0)
+    tail = rng.randint(n // 2, n - 20)
+    values[tail:] = [0.0] * (n - tail)
+    hyp = DecayHypothesis(
+        10.0 ** rng.uniform(-1.0, 1.0), A=0.5, B=rng.uniform(0.3, 1.4),
+        C=rng.uniform(0.3, 1.4), D=rng.uniform(0.8, 1.5), k0=0.0,
+    )
+    return PsiTable(knots, values, k0=0.0), hyp, tail
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("make", [_drop_table, _zero_tail_table])
+def test_check_hypothesis_matches_scalar_oracle_over_several_batches(make, seed):
+    table, hyp, start = make(seed)
+    first_batch_rows = next(AllKnotPairs().pair_arrays(table))[1].size
+    assert start >= first_batch_rows
+    oracle = _oracle_ratios(table, hyp, _oracle_all_pairs)
+    max_ratio, worst_pair, first_violation = _oracle_report(oracle)
+    rep = check_hypothesis(table, hyp, AllKnotPairs())
+    assert rep.max_ratio == pytest.approx(max_ratio, rel=1e-12, abs=0.0)
+    assert rep.pair_count == len(oracle) == len(table) * (len(table) - 1) // 2
+    assert rep.worst_pair == worst_pair
+    assert rep.first_violation == first_violation
+    if make is _drop_table:
+        assert table.knots.index(rep.worst_pair[1]) == start
+        assert table.knots.index(rep.first_violation[1]) == start
+
+
+def test_check_hypothesis_ratio_of_exactly_one_is_no_violation():
+    # (1, 0) reads exactly 1 / (0.5 * (1 + 1)) = 1; the first ratio above 1 is (3, 0).
+    table = PsiTable([0.0, 1.0, 3.0], [1.0, 1.0, 1.0], k0=0.0)
+    hyp = DecayHypothesis(0.5, A=1.0, B=1.0, C=1.0, D=2.0, k0=0.0)
+    rep = check_hypothesis(table, hyp, AllKnotPairs())
+    assert rep.first_violation == (3.0, 0.0)
+    assert rep.max_ratio == pytest.approx(4.5, rel=1e-15)
+
+
+def test_check_hypothesis_all_zero_table_reads_zero():
+    knots = [1.0 + 0.5 * j for j in range(600)]
+    table = PsiTable(knots, [0.0] * len(knots), k0=1.0)
+    hyp = DecayHypothesis(1.0, A=1.0, B=0.5, C=2.0, D=3.0, k0=1.0)
+    rep = check_hypothesis(table, hyp, AllKnotPairs())
+    assert rep.max_ratio == 0.0 and rep.passed
+    assert rep.worst_pair == (knots[1], knots[0])
+    assert rep.first_violation is None
+    assert rep.pair_count == 600 * 599 // 2
+
+
+def test_log_sum_matches_logaddexp():
+    inf = math.inf
+    special = np.array([-inf, -800.0, -1.0, -0.0, 0.0, 0.5, 700.0, 800.0, inf])
+    x, y = (a.ravel() for a in np.meshgrid(special, special))
+    rng = np.random.default_rng(3)
+    base = rng.uniform(-1e3, 1e3, 2000)
+    gap = np.concatenate([np.zeros(100), rng.uniform(-800.0, 800.0, 1900)])
+    x = np.concatenate([x, base])
+    y = np.concatenate([y, base + gap])
+    want = np.logaddexp(x, y)
+    got = lemma._log_sum(x.copy(), y)
+    infinite = ~np.isfinite(want)
+    assert infinite.sum() == 18  # the 17 pairs holding +inf, and (-inf, -inf)
+    assert np.array_equal(got[infinite], want[infinite])
+    finite = ~infinite
+    scale = np.maximum(np.abs(np.maximum(x, y)[finite]), 1.0)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 4.0 * np.spacing(scale))
+    equal = x == y
+    assert equal.sum() >= 100 and np.array_equal(got[equal], want[equal])
 
 
 def test_check_hypothesis_far_knot_has_finite_ratio():

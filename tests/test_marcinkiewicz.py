@@ -1,12 +1,15 @@
 """Oracle tests for the weak-space machinery.
 
 Analytic distribution functions of radial powers serve as the main
-oracle; scipy quadrature double-checks the closed-form cell averages.
+oracle; scipy quadrature double-checks the closed-form cell averages,
+and the ascending-sort suffix-sum form of ``distribution_function`` is
+the oracle of its one-sort prefix-sum form.
 """
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from leveldecay.marcinkiewicz import (
@@ -89,6 +92,52 @@ def test_distribution_matches_analytic_power_source():
         crossing = (1.0 / k) ** (r / n)
         cell = unit_ball_volume(n) * ((crossing + 1 / N) ** n - crossing**n)
         assert abs(m - exact) <= 2 * cell + 1e-12
+
+
+def _oracle_distribution(values, weights, levels):
+    """The ascending sort with reversed suffix sums that distribution_function ran before."""
+    av = np.abs(np.asarray(values, dtype=float))
+    w = np.asarray(weights, dtype=float)
+    order = np.argsort(av, kind="stable")
+    suffix = np.zeros(av.size + 1)
+    if av.size:
+        suffix[:-1] = np.cumsum(w[order][::-1])[::-1]
+    idx = np.searchsorted(av[order], np.asarray(levels, dtype=float), side="left")
+    return suffix[idx], float(suffix[0]) if av.size else 0.0
+
+
+@st.composite
+def _fields_and_levels(draw, weights):
+    """Values with negatives, zeros and repeats; levels at values, 0 and above the maximum."""
+    pool = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8))
+    values = draw(st.lists(st.sampled_from(pool + [0.0]), max_size=60))
+    w = draw(st.lists(weights, min_size=len(values), max_size=len(values)))
+    top = max((abs(v) for v in values), default=0.0)
+    picked = draw(st.lists(st.sampled_from([abs(v) for v in pool] + [0.0, top + 1.0])))
+    extra = draw(st.lists(st.floats(0.0, 2e3), max_size=5))
+    levels = sorted(set(picked + extra))
+    return values, w, levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_fields_and_levels(st.integers(0, 2**20).map(float)))
+def test_distribution_matches_sorted_suffix_oracle_exactly_on_integer_weights(drawn):
+    # Every partial sum of integer weights is exact, so summation order cannot show.
+    values, w, levels = drawn
+    prof = distribution_function(values, w, levels)
+    measures, total = _oracle_distribution(values, w, levels)
+    assert np.array_equal(prof.measures, measures)
+    assert prof.total_measure == total
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_fields_and_levels(st.floats(0.0, 1e3)))
+def test_distribution_matches_sorted_suffix_oracle_on_float_weights(drawn):
+    values, w, levels = drawn
+    prof = distribution_function(values, w, levels)
+    measures, total = _oracle_distribution(values, w, levels)
+    assert prof.measures == pytest.approx(measures, rel=1e-12, abs=0.0)
+    assert prof.total_measure == pytest.approx(total, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------- weak norm
@@ -283,6 +332,15 @@ def test_power_source_cell_average_against_quadrature():
         num, _ = quad(lambda t: t ** (n - 1) * scale * t ** (-n / r), r1, r2)
         den, _ = quad(lambda t: t ** (n - 1), r1, r2)
         assert src.cell_values[i] == pytest.approx(num / den, rel=1e-10)
+
+
+def test_power_source_matches_two_power_expression_bitwise():
+    n, r, scale = 4, 1.75, 1.3
+    nodes = np.linspace(0.0, 1.0, 1025) ** 1.7  # non-uniform, finest at the origin
+    m = n * (1.0 - 1.0 / r)
+    r1, r2 = nodes[:-1], nodes[1:]
+    want = scale * (n / m) * (r2**m - r1**m) / (r2**n - r1**n)
+    assert np.array_equal(power_source(nodes, n=n, r=r, scale=scale).cell_values, want)
 
 
 def test_power_source_analytic_distribution_cap():
