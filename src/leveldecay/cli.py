@@ -24,7 +24,9 @@ minimize
     when no grid of the ladder converged.
 analyze
     Fit a stored level profile (``--profile`` CSV) according to the
-    regime predicted by the ``[problem]`` section.
+    regime predicted by the ``[problem]`` section: ``fit=tail`` (power
+    law, with the predicted slope), ``fit=exp`` (stretched exponential,
+    with theta) or ``fit=none`` (with the top level).
 sweep
     Run the ladder for several source integrabilities (``--r-values``)
     and print one summary row per value.
@@ -40,9 +42,7 @@ import configparser
 import math
 import os
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .counterexamples import (
     LOG_SQUARE_C2,
@@ -51,7 +51,7 @@ from .counterexamples import (
     k0_for_exp_power,
     log_square_psi,
 )
-from .exponents import ProblemParams, Regime, classify_regime, compute_exponents
+from .exponents import ProblemParams, compute_exponents
 from .lemma import (
     AllKnotPairs,
     CaseTag,
@@ -65,11 +65,12 @@ from .lemma import (
     envelope_constants,
     vanishing_level,
 )
-from .marcinkiewicz import DistributionProfile
+from .marcinkiewicz import DistributionProfile, FitResult
 from .variational import (
+    ExperimentReport,
     SolverTolerances,
-    exp_fit_of,
     experiment_regularity,
+    summarize,
     tail_fit_of,
 )
 
@@ -157,46 +158,29 @@ def _load_config(path: str, schema: _Schema) -> configparser.ConfigParser:
     return parser
 
 
-def _raw(cfg: configparser.ConfigParser, section: str, key: str) -> str:
+def _read(
+    cfg: configparser.ConfigParser,
+    section: str,
+    key: str,
+    kind: type = float,
+    default: Optional[float] = None,
+) -> Any:
+    """The value of ``key`` in ``section`` as ``kind`` (float or int).
+
+    An absent key reads ``default``, and is an error without one.
+    """
     if not cfg.has_option(section, key):
-        raise ConfigError(f"missing required key {key} in section [{section}]")
-    return cfg.get(section, key)
-
-
-def _require_float(cfg: configparser.ConfigParser, section: str, key: str) -> float:
-    raw = _raw(cfg, section, key)
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"key {key} in section [{section}] is not a number: {raw!r}"
-        ) from exc
-
-
-def _float_or(
-    cfg: configparser.ConfigParser, section: str, key: str, default: float
-) -> float:
-    if not cfg.has_option(section, key):
+        if default is None:
+            raise ConfigError(f"missing required key {key} in section [{section}]")
         return default
-    return _require_float(cfg, section, key)
-
-
-def _require_int(cfg: configparser.ConfigParser, section: str, key: str) -> int:
-    raw = _raw(cfg, section, key)
+    raw = cfg.get(section, key)
     try:
-        return int(raw)
+        return kind(raw)
     except ValueError as exc:
+        noun = "a number" if kind is float else "an integer"
         raise ConfigError(
-            f"key {key} in section [{section}] is not an integer: {raw!r}"
+            f"key {key} in section [{section}] is not {noun}: {raw!r}"
         ) from exc
-
-
-def _int_or(
-    cfg: configparser.ConfigParser, section: str, key: str, default: int
-) -> int:
-    if not cfg.has_option(section, key):
-        return default
-    return _require_int(cfg, section, key)
 
 
 # --------------------------------------------------------------------------
@@ -242,29 +226,29 @@ def load_psi_table(path: str) -> PsiTable:
 
 def _hypothesis_from(cfg: configparser.ConfigParser) -> DecayHypothesis:
     return DecayHypothesis(
-        c1=_require_float(cfg, "lemma", "c1"),
-        A=_require_float(cfg, "lemma", "A"),
-        B=_require_float(cfg, "lemma", "B"),
-        C=_require_float(cfg, "lemma", "C"),
-        D=_require_float(cfg, "lemma", "D"),
-        k0=_float_or(cfg, "lemma", "k0", 0.0),
+        c1=_read(cfg, "lemma", "c1"),
+        A=_read(cfg, "lemma", "A"),
+        B=_read(cfg, "lemma", "B"),
+        C=_read(cfg, "lemma", "C"),
+        D=_read(cfg, "lemma", "D"),
+        k0=_read(cfg, "lemma", "k0", float, 0.0),
     )
 
 
 def _params_from(cfg: configparser.ConfigParser, r_value: Optional[float] = None) -> ProblemParams:
     return ProblemParams(
-        n=_require_int(cfg, "problem", "n"),
-        p=_require_float(cfg, "problem", "p"),
-        alpha=_require_float(cfg, "problem", "alpha"),
-        r=_require_float(cfg, "problem", "r") if r_value is None else r_value,
-        beta1=_float_or(cfg, "problem", "beta1", 1.0),
-        b_const=_float_or(cfg, "problem", "b_const", 1.0),
+        n=_read(cfg, "problem", "n", int),
+        p=_read(cfg, "problem", "p"),
+        alpha=_read(cfg, "problem", "alpha"),
+        r=_read(cfg, "problem", "r") if r_value is None else r_value,
+        beta1=_read(cfg, "problem", "beta1", float, 1.0),
+        b_const=_read(cfg, "problem", "b_const", float, 1.0),
     )
 
 
 def _grid_ladder(cfg: configparser.ConfigParser) -> Tuple[int, ...]:
-    cells = _require_int(cfg, "grid", "cells")
-    refinements = _int_or(cfg, "grid", "refinements", 1)
+    cells = _read(cfg, "grid", "cells", int)
+    refinements = _read(cfg, "grid", "refinements", int, 1)
     if refinements < 1:
         raise ConfigError(f"refinements must be >= 1, got {refinements}")
     return tuple(cells // 2 ** (refinements - 1 - i) for i in range(refinements))
@@ -272,8 +256,23 @@ def _grid_ladder(cfg: configparser.ConfigParser) -> Tuple[int, ...]:
 
 def _tolerances_from(cfg: configparser.ConfigParser) -> SolverTolerances:
     return SolverTolerances(
-        grad_tol=_float_or(cfg, "solver", "grad_tol", 1e-6),
-        max_iters=_int_or(cfg, "solver", "max_iters", 100_000),
+        grad_tol=_read(cfg, "solver", "grad_tol", float, 1e-6),
+        max_iters=_read(cfg, "solver", "max_iters", int, 100_000),
+    )
+
+
+def _experiment(
+    cfg: configparser.ConfigParser, r_value: Optional[float] = None
+) -> ExperimentReport:
+    """The grid-ladder experiment of the ``[problem]``, ``[grid]`` and
+    ``[solver]`` sections, with ``r_value`` in place of ``r`` if given."""
+    return experiment_regularity(
+        _params_from(cfg, r_value),
+        _grid_ladder(cfg),
+        _tolerances_from(cfg),
+        radius=_read(cfg, "grid", "radius", float, 1.0),
+        source_scale=_read(cfg, "problem", "source_scale", float, 1.0),
+        epsilon=_read(cfg, "solver", "epsilon", float, 1e-6),
     )
 
 
@@ -320,7 +319,7 @@ def _write_csv(
 
 def _cmd_constants(cfg: configparser.ConfigParser) -> int:
     hyp = _hypothesis_from(cfg)
-    psi_at_k0 = _float_or(cfg, "lemma", "psi_at_k0", 0.0)
+    psi_at_k0 = _read(cfg, "lemma", "psi_at_k0", float, 0.0)
     case = classify(hyp)
     if case.tag is CaseTag.UNCLASSIFIED:
         env = EnvelopeConstants(case)
@@ -336,7 +335,6 @@ def _cmd_constants(cfg: configparser.ConfigParser) -> int:
 def _cmd_exponents(cfg: configparser.ConfigParser) -> int:
     params = _params_from(cfg)
     exps = compute_exponents(params)
-    regime = classify_regime(params)
     header = (
         "n", "p", "alpha", "r",
         "q", "q_star", "p_star", "r_low", "r_mid", "r_high",
@@ -346,7 +344,7 @@ def _cmd_exponents(cfg: configparser.ConfigParser) -> int:
         params.n, params.p, params.alpha, params.r,
         exps.q, exps.q_star, exps.p_star, exps.r_low, exps.r_mid, exps.r_high,
         exps.hyp.A, exps.hyp.B, exps.hyp.C, exps.hyp.D, exps.s, exps.rho,
-        regime.value,
+        exps.regime.value,
     )
     _print_csv(header, [row])
     return 0
@@ -355,7 +353,7 @@ def _cmd_exponents(cfg: configparser.ConfigParser) -> int:
 def _cmd_verify(cfg: configparser.ConfigParser, psi_path: str) -> int:
     hyp = _hypothesis_from(cfg)
     table = load_psi_table(psi_path)
-    psi_at_k0 = _float_or(cfg, "lemma", "psi_at_k0", table.values[0])
+    psi_at_k0 = _read(cfg, "lemma", "psi_at_k0", float, table.values[0])
     case = classify(hyp)
     if case.tag is CaseTag.UNCLASSIFIED:
         raise ConfigError(
@@ -397,8 +395,8 @@ def _cmd_counterexample(
                 ("envelope_log_at_k_star", cert.envelope_log),
             ]
     elif name == "exp_power":
-        c_exp = _require_float(cfg, "lemma", "C")
-        d_exp = _require_float(cfg, "lemma", "D")
+        c_exp = _read(cfg, "lemma", "C")
+        d_exp = _read(cfg, "lemma", "D")
         psi = exp_power_psi(c_exp)
         k0 = k0_for_exp_power(d_exp, c_exp)
         hyp = DecayHypothesis(c1=1.0, A=1.0, B=c_exp, C=c_exp, D=d_exp, k0=k0)
@@ -435,15 +433,7 @@ def _cmd_counterexample(
 
 
 def _cmd_minimize(cfg: configparser.ConfigParser) -> int:
-    params = _params_from(cfg)
-    report = experiment_regularity(
-        params,
-        _grid_ladder(cfg),
-        _tolerances_from(cfg),
-        radius=_float_or(cfg, "grid", "radius", 1.0),
-        source_scale=_float_or(cfg, "problem", "source_scale", 1.0),
-        epsilon=_float_or(cfg, "solver", "epsilon", 1e-6),
-    )
+    report = _experiment(cfg)
     directory = _output_directory(cfg)
 
     nodes = report.grids[-1].nodes
@@ -492,45 +482,36 @@ def _cmd_minimize(cfg: configparser.ConfigParser) -> int:
     return 0 if any(run.converged for run in report.reports) else 1
 
 
+def _fit_pairs(fit: FitResult) -> List[Tuple[str, object]]:
+    return [
+        ("slope", fit.slope),
+        ("intercept", fit.intercept),
+        ("r_squared", fit.r_squared),
+        ("n_points", fit.n_points),
+    ]
+
+
 def _cmd_analyze(cfg: configparser.ConfigParser, profile_path: str) -> int:
     params = _params_from(cfg)
     table = load_psi_table(profile_path)
-    levels = np.asarray(table.knots)
-    measures = np.asarray(table.values)
-    profile = DistributionProfile(
-        levels, measures, float(measures[0]) if measures.size else 0.0
-    )
-    regime = classify_regime(params)
-    pairs: List[Tuple[str, object]] = [("regime", regime.value)]
-    if regime in (Regime.GRADIENT_MARCINKIEWICZ, Regime.SOBOLEV_W1P):
-        fit = tail_fit_of(profile)
-        if fit is None:
+    profile = DistributionProfile(table.knots, table.values, table.values[0])
+    summary = summarize(profile, compute_exponents(params))
+    pairs: List[Tuple[str, object]] = [
+        ("regime", summary.regime.value),
+        ("fit", summary.fit),
+    ]
+    if summary.fit == "tail":
+        if summary.tail_fit is None:
             raise ConfigError("profile has too few positive tail points to fit")
-        exps = compute_exponents(params)
-        pairs += [
-            ("fit", "tail"),
-            ("slope", fit.slope),
-            ("intercept", fit.intercept),
-            ("r_squared", fit.r_squared),
-            ("n_points", fit.n_points),
-            ("predicted_slope", -exps.s if exps.s is not None else None),
-        ]
-    elif regime is Regime.EXPONENTIAL_INTEGRABILITY:
-        theta = (params.p * (1.0 - params.alpha) - 1.0) / (params.p - 1.0)
-        fit = exp_fit_of(profile, theta)
-        if fit is None:
+        pairs += _fit_pairs(summary.tail_fit)
+        pairs.append(("predicted_slope", summary.predicted_slope))
+    elif summary.fit == "exp":
+        if summary.exp_fit is None:
             raise ConfigError("profile has too few positive points to fit")
-        pairs += [
-            ("fit", "exp"),
-            ("theta", theta),
-            ("slope", fit.slope),
-            ("intercept", fit.intercept),
-            ("r_squared", fit.r_squared),
-            ("n_points", fit.n_points),
-        ]
+        pairs.append(("theta", summary.theta))
+        pairs += _fit_pairs(summary.exp_fit)
     else:
-        top = float(levels[-1]) if levels.size else None
-        pairs += [("fit", "none"), ("top_level", top)]
+        pairs.append(("top_level", table.knots[-1]))
     _print_kv(pairs)
     return 0
 
@@ -543,22 +524,9 @@ def _cmd_sweep(cfg: configparser.ConfigParser, r_values_raw: str) -> int:
         r_values = [float(token) for token in tokens]
     except ValueError as exc:
         raise ConfigError(f"--r-values must be comma-separated numbers: {exc}") from exc
-    ladder = _grid_ladder(cfg)
-    tolerances = _tolerances_from(cfg)
-    radius = _float_or(cfg, "grid", "radius", 1.0)
-    source_scale = _float_or(cfg, "problem", "source_scale", 1.0)
-    epsilon = _float_or(cfg, "solver", "epsilon", 1e-6)
     rows = []
     for r_value in r_values:
-        params = _params_from(cfg, r_value=r_value)
-        report = experiment_regularity(
-            params,
-            ladder,
-            tolerances,
-            radius=radius,
-            source_scale=source_scale,
-            epsilon=epsilon,
-        )
+        report = _experiment(cfg, r_value)
         rows.append(
             (
                 r_value,

@@ -3,8 +3,10 @@
 Everything here is closed-form arithmetic: Sobolev/Hölder conjugates,
 the integrability exponent ``q`` of the natural energy space, the
 level-set exponent assignment (A, B, C, D), the Marcinkiewicz exponents
-``s`` and ``rho``, and the classification of the source integrability
-``r`` into the regularity regimes they imply.
+``s`` and ``rho``, the stretched-exponential exponent ``theta``, and the
+classification of the source integrability ``r`` into the regularity
+regimes they imply.  ``compute_exponents`` makes that classification
+once; everything downstream reads ``ExponentSet.regime``.
 """
 from __future__ import annotations
 
@@ -114,7 +116,12 @@ class ExponentAssignment:
 
 @dataclass(frozen=True)
 class ExponentSet:
-    """All derived exponents for one parameter set."""
+    """All derived exponents for one parameter set.
+
+    ``theta`` = (p(1-alpha)-1)/(p-1) is the exponent of the
+    stretched-exponential level profile at r = n/p; ``regime`` is the
+    regularity regime of r.
+    """
 
     q: float
     q_star: float
@@ -125,6 +132,8 @@ class ExponentSet:
     s: float | None
     rho: float | None
     hyp: ExponentAssignment
+    theta: float
+    regime: Regime
 
 
 def _require_strict(params: ProblemParams) -> None:
@@ -134,8 +143,21 @@ def _require_strict(params: ProblemParams) -> None:
         raise ValueError("exponent calculus requires p < n")
 
 
+def _regime(r: float, r_low: float, r_mid: float, r_high: float) -> Regime:
+    """Map r to its regularity regime; thresholds resolve within 1e-12."""
+    if abs(r - r_high) <= THRESHOLD_TOL:
+        return Regime.EXPONENTIAL_INTEGRABILITY
+    if r > r_high:
+        return Regime.BOUNDED
+    if r <= r_low + THRESHOLD_TOL:
+        return Regime.BELOW_RANGE
+    if r <= r_mid + THRESHOLD_TOL:
+        return Regime.GRADIENT_MARCINKIEWICZ
+    return Regime.SOBOLEV_W1P
+
+
 def compute_exponents(params: ProblemParams) -> ExponentSet:
-    """Derive q, q*, the thresholds, s, rho, and the (A, B, C, D) assignment."""
+    """Derive q, q*, the thresholds, s, rho, theta, (A, B, C, D) and the regime."""
     _require_strict(params)
     n, p, alpha, r = params.n, params.p, params.alpha, params.r
 
@@ -169,19 +191,11 @@ def compute_exponents(params: ProblemParams) -> ExponentSet:
         s=s,
         rho=rho,
         hyp=ExponentAssignment(A=A, B=B, C=C, D=D),
+        theta=(p * (1.0 - alpha) - 1.0) / (p - 1.0),
+        regime=_regime(r, r_low, r_mid, r_high),
     )
 
 
 def classify_regime(params: ProblemParams) -> Regime:
     """Map r to its regularity regime; thresholds resolve within 1e-12."""
-    ex = compute_exponents(params)
-    r = params.r
-    if abs(r - ex.r_high) <= THRESHOLD_TOL:
-        return Regime.EXPONENTIAL_INTEGRABILITY
-    if r > ex.r_high:
-        return Regime.BOUNDED
-    if r <= ex.r_low + THRESHOLD_TOL:
-        return Regime.BELOW_RANGE
-    if r <= ex.r_mid + THRESHOLD_TOL:
-        return Regime.GRADIENT_MARCINKIEWICZ
-    return Regime.SOBOLEV_W1P
+    return compute_exponents(params).regime

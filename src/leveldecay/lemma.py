@@ -46,6 +46,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
+    "CLASSIFY_TOL",
     "AllKnotPairs",
     "CaseClass",
     "CaseTag",

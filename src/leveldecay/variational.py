@@ -19,7 +19,8 @@ backtracking line search on the energy.
 warm starts and summarizes the level-set geometry of the solution: a
 power-law tail of mu(k) below the critical integrability of the source,
 a stretched-exponential tail at the critical exponent, and a bounded,
-grid-stable solution above it.
+grid-stable solution above it.  ``summarize`` holds that regime
+dispatch, for the experiment and for stored profiles alike.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exponents import ProblemParams, Regime, classify_regime, compute_exponents
+from .exponents import ExponentSet, ProblemParams, Regime, compute_exponents
 from .lemma import _pair_scan
 from .marcinkiewicz import (
     DistributionProfile,
@@ -49,15 +50,19 @@ __all__ = [
     "LevelsetReport",
     "MinimizeReport",
     "NonFiniteEnergyError",
+    "ProfileSummary",
     "RadialGrid",
     "SolverTolerances",
     "assemble_energy",
     "energy_gradient",
     "excess",
+    "exp_fit_of",
     "experiment_regularity",
     "level_profile",
     "levelset_inequality_check",
     "minimize",
+    "summarize",
+    "tail_fit_of",
     "truncate",
 ]
 
@@ -169,11 +174,15 @@ class FunctionalSpec:
             raise ValueError("epsilon must be finite and nonnegative")
 
 
-def _check_compatible(u: np.ndarray, grid: RadialGrid, spec: FunctionalSpec) -> None:
+def _check_nodes(u: np.ndarray, grid: RadialGrid) -> None:
     if u.size != grid.cells + 1:
         raise ValueError(
             f"field has {u.size} nodes but the grid has {grid.cells + 1}"
         )
+
+
+def _check_compatible(u: np.ndarray, grid: RadialGrid, spec: FunctionalSpec) -> None:
+    _check_nodes(u, grid)
     if spec.source.size != grid.cells:
         raise ValueError(
             f"source has {spec.source.size} cells but the grid has {grid.cells}"
@@ -501,10 +510,7 @@ def level_profile(field: DiscreteField, grid: RadialGrid, levels) -> Distributio
     the exact shell measure, consistent with the rest of the module.
     """
     u = field.nodal_values
-    if u.size != grid.cells + 1:
-        raise ValueError(
-            f"field has {u.size} nodes but the grid has {grid.cells + 1}"
-        )
+    _check_nodes(u, grid)
     midvalues = np.abs(0.5 * (u[:-1] + u[1:]))
     return distribution_function(midvalues, grid.cell_measures, levels)
 
@@ -572,12 +578,14 @@ def levelset_inequality_check(
 class ExperimentReport:
     """Summary of a warm-started grid ladder of minimizations.
 
-    Exactly one of the trichotomy summaries is populated, according to
-    the regime of the parameters: ``tail_fit`` (power-law tail of the
-    distribution function, with ``predicted_slope`` = -s), ``exp_fit``
-    (stretched-exponential tail with exponent ``theta``), or
-    ``stabilization_ratio`` (relative change of max|u| on the last
-    refinement).  Per-grid artifacts are kept for downstream checks.
+    At most one of the trichotomy summaries is populated, according to
+    the regime of the parameters: ``tail_fit`` with ``predicted_slope``
+    = -s (power-law tail of the distribution function) or ``exp_fit``
+    with ``theta`` (stretched-exponential tail), both from ``summarize``
+    of the finest profile, or ``stabilization_ratio`` (relative change
+    of max|u| on the last refinement, on a ladder of two or more grids).
+    Below the range none is.  Per-grid artifacts are kept for
+    downstream checks.
     """
 
     grid_cells: Tuple[int, ...]
@@ -599,11 +607,44 @@ class ExperimentReport:
         return [report.status for report in self.reports]
 
 
+@dataclass(frozen=True)
+class ProfileSummary:
+    """The regime's reading of one level profile.
+
+    ``fit`` names the reading: "tail" (the two power-tail regimes:
+    ``tail_fit`` with ``predicted_slope`` = -s), "exp" (r = n/p:
+    ``exp_fit`` with exponent ``theta``) or "none" (bounded, or r below
+    the range).  Fields of the other readings are None, and so is a fit
+    of a profile with too few points.
+    """
+
+    regime: Regime
+    fit: str
+    predicted_slope: Optional[float] = None
+    theta: Optional[float] = None
+    tail_fit: Optional[FitResult] = None
+    exp_fit: Optional[FitResult] = None
+
+
 def _profile_levels(regime: Regime, peak: float) -> np.ndarray:
     if peak <= 0.0:
         return np.empty(0)
     span = _EXP_SPAN if regime is Regime.EXPONENTIAL_INTEGRABILITY else _TAIL_SPAN
     return np.geomspace(peak / span, peak, _PROFILE_LEVELS)
+
+
+def summarize(profile: DistributionProfile, exps: ExponentSet) -> ProfileSummary:
+    """Fit the profile the way the regime of ``exps`` predicts it decays."""
+    regime = exps.regime
+    if regime in (Regime.GRADIENT_MARCINKIEWICZ, Regime.SOBOLEV_W1P):
+        return ProfileSummary(
+            regime, "tail", predicted_slope=-exps.s, tail_fit=tail_fit_of(profile)
+        )
+    if regime is Regime.EXPONENTIAL_INTEGRABILITY:
+        return ProfileSummary(
+            regime, "exp", theta=exps.theta, exp_fit=exp_fit_of(profile, exps.theta)
+        )
+    return ProfileSummary(regime, "none")
 
 
 def tail_fit_of(profile: DistributionProfile) -> Optional[FitResult]:
@@ -654,7 +695,7 @@ def experiment_regularity(
     cells_tuple = tuple(int(c) for c in grid_cells)
     if not cells_tuple:
         raise ValueError("need at least one grid")
-    regime = classify_regime(params)
+    exps = compute_exponents(params)
 
     grids: List[RadialGrid] = []
     specs: List[FunctionalSpec] = []
@@ -676,7 +717,7 @@ def experiment_regularity(
         report = minimize(grid, spec, DiscreteField(start), tolerances)
         solution = report.final_field
         peak = float(np.max(np.abs(solution.nodal_values)))
-        profile = level_profile(solution, grid, _profile_levels(regime, peak))
+        profile = level_profile(solution, grid, _profile_levels(exps.regime, peak))
 
         grids.append(grid)
         specs.append(spec)
@@ -686,36 +727,23 @@ def experiment_regularity(
         max_u.append(peak)
         previous = (grid.nodes, solution.nodal_values)
 
-    predicted_slope: Optional[float] = None
-    theta: Optional[float] = None
-    tail_fit: Optional[FitResult] = None
-    exp_fit: Optional[FitResult] = None
+    summary = summarize(profiles[-1], exps)
     stabilization_ratio: Optional[float] = None
-
-    if regime in (Regime.GRADIENT_MARCINKIEWICZ, Regime.SOBOLEV_W1P):
-        exps = compute_exponents(params)
-        if exps.s is not None:
-            predicted_slope = -exps.s
-        tail_fit = tail_fit_of(profiles[-1])
-    elif regime is Regime.EXPONENTIAL_INTEGRABILITY:
-        theta = (params.p * (1.0 - params.alpha) - 1.0) / (params.p - 1.0)
-        exp_fit = exp_fit_of(profiles[-1], theta)
-    elif regime is Regime.BOUNDED:
-        if len(max_u) >= 2 and max_u[-2] > 0.0:
-            stabilization_ratio = abs(max_u[-1] - max_u[-2]) / max_u[-2]
+    if exps.regime is Regime.BOUNDED and len(max_u) >= 2 and max_u[-2] > 0.0:
+        stabilization_ratio = abs(max_u[-1] - max_u[-2]) / max_u[-2]
 
     return ExperimentReport(
         grid_cells=cells_tuple,
-        regime=regime,
+        regime=exps.regime,
         grids=grids,
         specs=specs,
         final_fields=fields,
         reports=reports,
         profiles=profiles,
         max_u=max_u,
-        predicted_slope=predicted_slope,
-        theta=theta,
-        tail_fit=tail_fit,
-        exp_fit=exp_fit,
+        predicted_slope=summary.predicted_slope,
+        theta=summary.theta,
+        tail_fit=summary.tail_fit,
+        exp_fit=summary.exp_fit,
         stabilization_ratio=stabilization_ratio,
     )

@@ -427,3 +427,82 @@ def test_profile_round_trip_bit_identical(tmp_path, capsys):
     prof = rerun.profiles[-1]
     assert np.array_equal(np.asarray(table.knots), np.asarray(prof.levels))
     assert np.array_equal(np.asarray(table.values), np.asarray(prof.measures))
+
+
+# ---------------------------------------------------------------- config values
+def test_integer_key_given_as_float_rejected(tmp_path, capsys):
+    cfg = write(tmp_path / "c.ini", PROBLEM_SOBOLEV + "[grid]\ncells = 1e3\n")
+    assert main(["minimize", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: key cells in section [grid] is not an integer: '1e3'\n"
+    )
+
+
+def test_non_numeric_key_rejected(tmp_path, capsys):
+    cfg = write(tmp_path / "c.ini", LEMMA_POWER.replace("c1 = 1.0", "c1 = abc"))
+    assert main(["constants", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: key c1 in section [lemma] is not a number: 'abc'\n"
+    )
+
+
+# ---------------------------------------------------------------- regime branches
+PARITY_LADDER = (32, 64)
+
+
+@pytest.mark.parametrize(
+    "r, fit_label",
+    [(1.75, "tail"), (2.0, "exp"), (3.0, "none")],
+)
+def test_analyze_matches_the_experiment_report(tmp_path, capsys, r, fit_label):
+    d = tmp_path / "run"
+    d.mkdir()
+    problem = PROBLEM_SOBOLEV.replace("r = 1.75", f"r = {r}")
+    cfg = write(
+        d / "c.ini",
+        problem + "[grid]\ncells = 64\nrefinements = 2\n" f"[output]\ndirectory = {d}\n",
+    )
+    assert main(["minimize", "--config", cfg]) == 0
+    capsys.readouterr()
+    analyze_cfg = write(d / "a.ini", problem)
+    assert main(["analyze", "--config", analyze_cfg, "--profile", str(d / "profile.csv")]) == 0
+    out = parse_kv(capsys.readouterr().out)
+
+    params = ProblemParams(n=4, p=2.0, alpha=0.25, r=r)
+    report = experiment_regularity(params, PARITY_LADDER, SolverTolerances())
+    assert out["regime"] == report.regime.value
+    assert out["fit"] == fit_label
+    fit = report.tail_fit if fit_label == "tail" else report.exp_fit
+    if fit_label == "none":
+        assert fit is None and report.predicted_slope is None and report.theta is None
+        assert float(out["top_level"]) == float(report.profiles[-1].levels[-1])
+        assert set(out) == {"regime", "fit", "top_level"}
+        return
+    assert float(out["slope"]) == fit.slope
+    assert float(out["intercept"]) == fit.intercept
+    assert float(out["r_squared"]) == fit.r_squared
+    assert int(out["n_points"]) == fit.n_points
+    if fit_label == "tail":
+        assert report.theta is None and "theta" not in out
+        assert float(out["predicted_slope"]) == report.predicted_slope
+    else:
+        assert report.predicted_slope is None and "predicted_slope" not in out
+        assert float(out["theta"]) == report.theta == 0.5
+
+
+@pytest.mark.parametrize(
+    "r, message",
+    [
+        (1.75, "error: profile has too few positive tail points to fit\n"),
+        (2.0, "error: profile has too few positive points to fit\n"),
+    ],
+)
+def test_analyze_rejects_a_profile_too_short_to_fit(tmp_path, capsys, r, message):
+    # seven positive-measure levels: one short of MIN_FIT_POINTS
+    rows = [f"{float(k)!r},{float(k) ** -7.0!r}" for k in range(1, 8)]
+    prof = write(tmp_path / "profile.csv", "k,measure\n" + "\n".join(rows) + "\n8.0,0.0\n")
+    cfg = write(tmp_path / "c.ini", PROBLEM_SOBOLEV.replace("r = 1.75", f"r = {r}"))
+    assert main(["analyze", "--config", cfg, "--profile", prof]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message

@@ -252,3 +252,41 @@ def test_q_below_p():
     for n, p, alpha in [(4, 2.0, 0.25), (3, 1.5, 0.3), (6, 2.5, 0.3)]:
         ex = compute_exponents(ProblemParams(n, p, alpha, 1.2))
         assert ex.q < p
+
+
+# ---------------------------------------------------------------- regime and theta in ExponentSet
+@pytest.mark.parametrize(
+    "r",
+    [2.0 + 5e-13, 2.0 - 5e-13, 2.0 + 1e-9, 2.0 - 1e-9, 1.2, 1.5, 1.55, 1.6, 1.75, 3.0],
+)
+def test_exponent_set_regime_is_the_classified_regime(r):
+    params = ProblemParams(4, 2.0, 0.25, r)
+    assert compute_exponents(params).regime is classify_regime(params)
+
+
+def test_theta_at_the_paper_parameters():
+    assert compute_exponents(ProblemParams(4, 2.0, 0.25, 2.0)).theta == 0.5
+    # theta depends on p and alpha only
+    assert compute_exponents(ProblemParams(4, 2.0, 0.25, 1.2)).theta == 0.5
+    assert compute_exponents(ProblemParams(3, 1.5, 0.3, 1.2)).theta == pytest.approx(
+        float((Fraction(3, 2) * Fraction(7, 10) - 1) / Fraction(1, 2)), rel=1e-14
+    )
+
+
+@given(
+    n=st.integers(min_value=2, max_value=8),
+    pfrac=st.floats(min_value=0.05, max_value=0.95),
+    afrac=st.floats(min_value=0.05, max_value=0.95),
+    rfac=st.floats(min_value=0.2, max_value=2.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_s_is_defined_in_every_regime_below_n_over_p(n, pfrac, afrac, rfac):
+    # the tail summaries read -s without a guard
+    p = 1.0 + pfrac * (n - 1.0 - 1e-6)
+    alpha = afrac * (p - 1.0) / p
+    r = max(1.0 + 1e-9, rfac * n / p)
+    ex = compute_exponents(ProblemParams(n=n, p=p, alpha=alpha, r=r))
+    below = ex.regime in (
+        Regime.BELOW_RANGE, Regime.GRADIENT_MARCINKIEWICZ, Regime.SOBOLEV_W1P
+    )
+    assert (ex.s is not None) == below
