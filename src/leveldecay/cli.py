@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import sys
@@ -261,13 +262,11 @@ def _tolerances_from(cfg: configparser.ConfigParser) -> SolverTolerances:
     )
 
 
-def _experiment(
-    cfg: configparser.ConfigParser, r_value: Optional[float] = None
-) -> ExperimentReport:
-    """The grid-ladder experiment of the ``[problem]``, ``[grid]`` and
-    ``[solver]`` sections, with ``r_value`` in place of ``r`` if given."""
+def _experiment(cfg: configparser.ConfigParser, params: ProblemParams) -> ExperimentReport:
+    """The grid-ladder experiment of ``params`` with the ``[grid]`` and
+    ``[solver]`` sections."""
     return experiment_regularity(
-        _params_from(cfg, r_value),
+        params,
         _grid_ladder(cfg),
         _tolerances_from(cfg),
         radius=_read(cfg, "grid", "radius", float, 1.0),
@@ -433,7 +432,7 @@ def _cmd_counterexample(
 
 
 def _cmd_minimize(cfg: configparser.ConfigParser) -> int:
-    report = _experiment(cfg)
+    report = _experiment(cfg, _params_from(cfg))
     directory = _output_directory(cfg)
 
     nodes = report.grids[-1].nodes
@@ -524,12 +523,14 @@ def _cmd_sweep(cfg: configparser.ConfigParser, r_values_raw: str) -> int:
         r_values = [float(token) for token in tokens]
     except ValueError as exc:
         raise ConfigError(f"--r-values must be comma-separated numbers: {exc}") from exc
+    # every r is validated before the first (costly) ladder runs
+    param_sets = [_params_from(cfg, r_value) for r_value in r_values]
     rows = []
-    for r_value in r_values:
-        report = _experiment(cfg, r_value)
+    for params in param_sets:
+        report = _experiment(cfg, params)
         rows.append(
             (
-                r_value,
+                params.r,
                 report.regime.value,
                 report.max_u[-1],
                 report.reports[-1].status,
@@ -543,7 +544,9 @@ def _cmd_sweep(cfg: configparser.ConfigParser, r_values_raw: str) -> int:
 # entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every ``main``."""
     parser = argparse.ArgumentParser(
         prog="leveldecay",
         description="Level-set decay lemma toolkit: envelope constants, "

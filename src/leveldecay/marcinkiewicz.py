@@ -113,6 +113,41 @@ class DistributionProfile:
             raise ValueError("measures cannot exceed the total measure")
 
 
+class _LevelIndex:
+    """Cells of a weighted field sorted once by decreasing |value|.
+
+    ``keys`` are the sorted -|v| and ``prefix[i]`` is the weight of the i
+    largest cells, so the measure of {|v| >= k} is the prefix at the number
+    of keys <= -k, which searchsorted(..., "right") returns.  Any level
+    grid is then read off in O(L log N); the index costs 16 bytes a cell.
+    """
+
+    __slots__ = ("keys", "prefix")
+
+    def __init__(self, values, weights):
+        vals = np.asarray(values, dtype=float)
+        w = np.asarray(weights, dtype=float)
+        if vals.ndim != 1 or w.ndim != 1:
+            raise ValueError("values and weights must be one-dimensional")
+        if vals.shape != w.shape:
+            raise ValueError("values and weights must have equal length")
+        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(w))):
+            raise ValueError("values and weights must be finite")
+        if np.any(w < 0.0):
+            raise ValueError("weights must be nonnegative")
+        neg = -np.abs(vals)
+        order = np.argsort(neg, kind="stable")
+        self.keys = neg[order]
+        del neg  # freed before the prefix buffers are taken: a lower peak
+        self.prefix = np.zeros(vals.size + 1)
+        np.cumsum(w[order], out=self.prefix[1:])
+
+    def profile(self, levels) -> DistributionProfile:
+        lv = np.asarray(levels, dtype=float)
+        measures = self.prefix[np.searchsorted(self.keys, -lv, side="right")]
+        return DistributionProfile(levels=lv, measures=measures, total_measure=self.prefix[-1])
+
+
 def distribution_function(values, weights, levels) -> DistributionProfile:
     """Distribution function of a weighted cell field at the given levels.
 
@@ -121,27 +156,7 @@ def distribution_function(values, weights, levels) -> DistributionProfile:
     returned profile records, for each level k, the total weight of the
     cells with ``|values[i]| >= k``.
     """
-    vals = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if vals.ndim != 1 or w.ndim != 1:
-        raise ValueError("values and weights must be one-dimensional")
-    if vals.shape != w.shape:
-        raise ValueError("values and weights must have equal length")
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(w))):
-        raise ValueError("values and weights must be finite")
-    if np.any(w < 0.0):
-        raise ValueError("weights must be nonnegative")
-    lv = np.asarray(levels, dtype=float)
-
-    # Cells sorted by decreasing |value|: prefix[i] is the weight of the i
-    # largest, and |v| >= k counts the sorted -|v| <= -k, whose number
-    # searchsorted(..., "right") returns.
-    neg = -np.abs(vals)
-    order = np.argsort(neg, kind="stable")
-    prefix = np.zeros(vals.size + 1)
-    np.cumsum(w[order], out=prefix[1:])
-    measures = prefix[np.searchsorted(neg[order], -lv, side="right")]
-    return DistributionProfile(levels=lv, measures=measures, total_measure=prefix[-1])
+    return _LevelIndex(values, weights).profile(levels)
 
 
 # --------------------------------------------------------------------------

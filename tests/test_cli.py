@@ -6,10 +6,14 @@ and emitted CSV are asserted directly.
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from leveldecay import cli
 from leveldecay.cli import load_psi_table, main
 from leveldecay.exponents import ProblemParams
 from leveldecay.variational import SolverTolerances, experiment_regularity
@@ -407,6 +411,57 @@ def test_sweep_invalid_r(tmp_path, capsys):
         "[problem]\nn = 4\np = 2.0\nalpha = 0.25\nr = 1.75\n[grid]\ncells = 32\n",
     )
     assert main(["sweep", "--config", cfg, "--r-values", "1.0"]) == 2
+
+
+def test_sweep_rejects_a_bad_r_before_any_ladder(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return experiment_regularity(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "experiment_regularity", counted)
+    cfg = write(
+        tmp_path / "c.ini",
+        "[problem]\nn = 4\np = 2.0\nalpha = 0.25\nr = 1.75\n[grid]\ncells = 32\n",
+    )
+    assert main(["sweep", "--config", cfg, "--r-values", "1.75,0.5"]) == 2
+    captured = capsys.readouterr()
+    assert "r must exceed 1, got 0.5" in captured.err
+    assert captured.out == ""
+    assert calls == []
+
+
+# ---------------------------------------------------------------- one parser per process
+def test_main_runs_in_sequence_as_alone(tmp_path, capsys):
+    # main reuses one argument parser; a usage error must not leak into the
+    # calls after it, so each call matches a fresh process
+    knots = [2.0 ** (j / 2.0) for j in range(21)]
+    values = [min(0.8, k**-3.0) for k in knots]
+    psi = _write_psi_csv(tmp_path / "psi.csv", knots, values)
+    c1 = _brute_c1(knots, values, 0.75, 0.75, 0.5, 1.5)
+    verify_cfg = write(
+        tmp_path / "v.ini",
+        f"[lemma]\nc1 = {repr(c1)}\nA = 0.75\nB = 0.75\nC = 0.5\nD = 1.5\n"
+        f"k0 = 1.0\npsi_at_k0 = 0.8\n",
+    )
+    calls = [
+        ["constants"],
+        ["constants", "--config", write(tmp_path / "c.ini", LEMMA_POWER)],
+        ["verify", "--config", verify_cfg, "--psi", psi],
+    ]
+    in_sequence = []
+    for argv in calls:
+        code = main(argv)
+        in_sequence.append((code, capsys.readouterr().out))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    alone = [
+        subprocess.run([sys.executable, "-m", "leveldecay", *argv], env=env, capture_output=True, text=True)
+        for argv in calls
+    ]
+    assert in_sequence == [(run.returncode, run.stdout) for run in alone]
+    assert [code for code, _ in in_sequence] == [2, 0, 0]
 
 
 # ---------------------------------------------------------------- round trip

@@ -18,7 +18,7 @@ from scipy.linalg import solve_banded
 import leveldecay
 from conftest import TRICHOTOMY_TOL
 from leveldecay.exponents import ProblemParams, compute_exponents, holder_conjugate
-from leveldecay.marcinkiewicz import power_source, unit_ball_volume
+from leveldecay.marcinkiewicz import distribution_function, power_source, unit_ball_volume
 from leveldecay.variational import (
     DiscreteField,
     FunctionalSpec,
@@ -401,6 +401,89 @@ def test_level_profile_crossing_radius():
     u = DiscreteField(1.0 - grid.nodes)
     prof = level_profile(u, grid, [0.5])
     assert prof.measures[0] == pytest.approx(math.pi * 0.25, rel=1e-12)
+
+
+def _profile_oracle(field, grid, levels):
+    """One fresh sort of the midpoint values per call."""
+    u = field.nodal_values
+    return distribution_function(np.abs(0.5 * (u[:-1] + u[1:])), grid.cell_measures, levels)
+
+
+def _assert_same_profile(got, want):
+    assert np.array_equal(got.levels, want.levels)
+    assert np.array_equal(got.measures, want.measures)
+    assert got.total_measure == want.total_measure
+
+
+def _random_field(rng, cells):
+    values = rng.normal(size=cells + 1) * 10.0 ** rng.uniform(-3.0, 3.0)
+    values[rng.random(cells + 1) < 0.2] = 0.0  # tied cells
+    values[-1] = 0.0
+    return DiscreteField(values)
+
+
+def _random_levels(rng, field):
+    top = float(np.max(np.abs(field.nodal_values))) * 1.5 + 1e-3
+    draws = rng.uniform(0.0, top, size=int(rng.integers(0, 30)))
+    u = field.nodal_values
+    ties = np.abs(0.5 * (u[:-1] + u[1:]))[: rng.integers(0, 4)]  # levels hit exactly
+    return np.unique(np.concatenate([draws, [0.0], ties]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cells=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_level_profile_reuse_matches_a_fresh_sort(cells, seed):
+    # Several level sets in a row on one field, then the same field on two
+    # grids of equal cell count but different radii, interleaved: every
+    # profile equals a fresh distribution_function bit for bit.
+    rng = np.random.default_rng(seed)
+    field = _random_field(rng, cells)
+    small = RadialGrid(n=3, radius=1.0, cells=cells)
+    large = RadialGrid(n=3, radius=2.5, cells=cells)
+    for grid in (small, small, small, large, small, large, large, small):
+        levels = _random_levels(rng, field)
+        _assert_same_profile(level_profile(field, grid, levels), _profile_oracle(field, grid, levels))
+
+
+def test_level_profile_sorts_once_per_grid():
+    grid = RadialGrid(n=4, radius=1.0, cells=64)
+    field = DiscreteField(1.0 - grid.nodes**2)
+    level_profile(field, grid, [0.5])
+    index = field._level_index
+    level_profile(field, grid, [0.1, 0.9])
+    levelset_inequality_check(field, grid, make_spec(grid), [(0.8, 0.4)])
+    assert field._level_index is index
+    # an equal grid holds another measures array, so it gets its own index
+    level_profile(field, RadialGrid(n=4, radius=1.0, cells=64), [0.5])
+    assert field._level_index is not index
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
+def test_levelset_check_cold_and_warm_index_agree(cells, seed):
+    rng = np.random.default_rng(seed)
+    values = _random_field(rng, cells).nodal_values
+    grid = RadialGrid(n=4, radius=1.0, cells=cells)
+    spec = make_spec(grid)
+    top = float(np.max(np.abs(values))) * 1.5 + 1e-3
+    draws = np.sort(rng.uniform(1e-6 * top, top, size=(12, 2)), axis=1)
+    pairs = [(float(h), float(k)) for k, h in draws if h > k]
+    cold = levelset_inequality_check(DiscreteField(values), grid, spec, pairs)
+    warm_field = DiscreteField(values)
+    level_profile(warm_field, RadialGrid(n=4, radius=2.0, cells=cells), [top / 2.0])
+    level_profile(warm_field, grid, [top / 2.0])
+    assert levelset_inequality_check(warm_field, grid, spec, pairs) == cold
+    assert levelset_inequality_check(warm_field, grid, spec, pairs) == cold
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_level_profile_overflowing_midpoints_keep_no_index(sign):
+    grid = RadialGrid(n=2, radius=1.0, cells=3)
+    field = DiscreteField([sign * 1e308, sign * 9e307, 1.0, 0.0])
+    for _ in range(3):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="values and weights must be finite"):
+            level_profile(field, grid, [1.0])
+        assert field._level_index is None
 
 
 # ---------------------------------------------------------------- level-set inequality
