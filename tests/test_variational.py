@@ -2,8 +2,9 @@
 
 Independent oracles: hand integrals for the energy, central finite
 differences for the gradient and the Hessian, a direct tridiagonal
-solve (scipy, test-only) for the linear regime alpha = 0, p = 2, and
-per-pair mask sums for the level-set inequality check.
+solve (scipy, test-only) for the linear regime alpha = 0, p = 2,
+per-pair mask sums for the level-set inequality check, and a fresh
+``distribution_function`` of the midpoints for the kept level index.
 """
 import math
 import os
