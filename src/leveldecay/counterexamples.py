@@ -28,6 +28,7 @@ from .lemma import (
     CaseTag,
     DecayHypothesis,
     WrongCaseError,
+    _exp,
     classify,
     exp_decay_tau,
     vanishing_level,
@@ -162,9 +163,9 @@ class Certificate:
     """A level at which psi exceeds the claimed envelope.
 
     ``psi_value`` and ``envelope_value`` are plain float evaluations and
-    may underflow to 0; ``psi_log`` and ``envelope_log`` carry the exact
-    comparison (``psi_log > envelope_log`` certifies the violation; the
-    envelope log is ``-inf`` where the envelope is exactly 0).
+    may underflow to 0 or read ``inf``; ``psi_log`` and ``envelope_log``
+    carry the exact comparison (``psi_log > envelope_log`` certifies the
+    violation; the envelope log is ``-inf`` where the envelope is 0).
     """
 
     level: float
@@ -218,9 +219,7 @@ def find_envelope_violation(
                     level=k,
                     psi_value=psi.evaluator(k),
                     psi_log=psi_log,
-                    envelope_value=math.exp(envelope_log)
-                    if envelope_log > -745.0
-                    else 0.0,
+                    envelope_value=_exp(envelope_log) if envelope_log > -745.0 else 0.0,
                     envelope_log=envelope_log,
                 )
             j += 1

@@ -18,9 +18,10 @@ three decay regimes, each with a fully explicit envelope:
 
 This module classifies hypotheses, computes the envelope constants
 exactly as printed in the source proofs, evaluates envelopes, verifies
-both the hypothesis and its conclusion on tabulated functions
-(:class:`PsiTable`), and runs the geometric recursion
-(:func:`giusti_recursion`) used by the vanishing case.
+both the hypothesis and its conclusion on tabulated functions, and runs
+the geometric recursion (:func:`giusti_recursion`) used by the vanishing
+case.  A table (:class:`PsiTable`) keeps its knots and values as
+read-only float64 arrays, validated once, which every check reads as is.
 
 Constants and checks work with logarithms, so extreme but valid inputs
 never overflow.  Envelope constants are computed as logs and returned
@@ -39,9 +40,8 @@ from __future__ import annotations
 import enum
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -348,65 +348,70 @@ def envelope(hyp: DecayHypothesis, psi_at_k0: float, k: float) -> float:
 # --------------------------------------------------------------------------
 # tabulated psi
 # --------------------------------------------------------------------------
+@dataclass(frozen=True, eq=False)
 class PsiTable:
     """A nonincreasing nonnegative step function tabulated at knots.
 
-    Evaluation follows the right-continuous step convention: psi(k) is
-    the value at the largest knot <= k.  Values may rise by at most a
-    1e-12 relative slack between consecutive knots, absorbing rounding
-    in externally computed tables.
+    ``knots`` and ``values`` are read-only float64 arrays, copied from the
+    inputs once.  Evaluation follows the right-continuous step convention:
+    psi(k) is the value at the largest knot <= k.  Values may rise by at
+    most a 1e-12 relative slack between consecutive knots, absorbing
+    rounding in externally computed tables.  A rejected table raises
+    :class:`ValueError` naming its first offending knot pair or value.
     """
 
-    __slots__ = ("knots", "values", "k0")
+    knots: np.ndarray
+    values: np.ndarray
+    k0: float
 
-    def __init__(
-        self, knots: Sequence[float], values: Sequence[float], k0: float
-    ) -> None:
-        knots = tuple(float(k) for k in knots)
-        values = tuple(float(v) for v in values)
-        if len(knots) == 0:
+    def __post_init__(self) -> None:
+        knots = np.array(self.knots, dtype=float)
+        values = np.array(self.values, dtype=float)
+        if knots.ndim != 1 or values.ndim != 1:
+            raise ValueError("knots and values must be one-dimensional")
+        if knots.size == 0:
             raise ValueError("table must contain at least one knot")
-        if len(knots) != len(values):
+        if knots.size != values.size:
             raise ValueError(
-                f"knots and values differ in length: {len(knots)} vs {len(values)}"
+                f"knots and values differ in length: {knots.size} vs {values.size}"
             )
-        if not (math.isfinite(k0) and k0 >= 0.0):
-            raise ValueError(f"k0 must be finite and nonnegative, got {k0}")
-        if not all(math.isfinite(k) for k in knots):
+        if not (math.isfinite(self.k0) and self.k0 >= 0.0):
+            raise ValueError(f"k0 must be finite and nonnegative, got {self.k0}")
+        if not np.isfinite(knots).all():
             raise ValueError("knots must be finite")
-        if not all(math.isfinite(v) for v in values):
+        if not np.isfinite(values).all():
             raise ValueError("values must be finite")
-        if knots[0] < k0:
-            raise ValueError(f"first knot {knots[0]} lies below k0={k0}")
-        for a, b in zip(knots, knots[1:]):
-            if not b > a:
-                raise ValueError(f"knots must be strictly increasing, got {a} then {b}")
-        for v in values:
-            if v < 0.0:
-                raise ValueError(f"values must be nonnegative, got {v}")
-        for a, b in zip(values, values[1:]):
-            if b > a + _MONOTONE_SLACK * a:
-                raise ValueError(
-                    f"values must be nonincreasing, got {a} then {b}"
-                )
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "k0", float(k0))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PsiTable is immutable")
+        if knots[0] < self.k0:
+            raise ValueError(f"first knot {knots[0].item()} lies below k0={self.k0}")
+        (stalls,) = np.nonzero(knots[1:] <= knots[:-1])
+        if stalls.size:
+            a, b = knots[stalls[0]:stalls[0] + 2].tolist()
+            raise ValueError(f"knots must be strictly increasing, got {a} then {b}")
+        (negative,) = np.nonzero(values < 0.0)
+        if negative.size:
+            raise ValueError(f"values must be nonnegative, got {values[negative[0]].item()}")
+        with np.errstate(over="ignore"):  # a + slack * a is inf near the float max
+            (rises,) = np.nonzero(values[1:] > values[:-1] + _MONOTONE_SLACK * values[:-1])
+        if rises.size:
+            a, b = values[rises[0]:rises[0] + 2].tolist()
+            raise ValueError(f"values must be nonincreasing, got {a} then {b}")
+        for name, array in (("knots", knots), ("values", values)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "k0", float(self.k0))
 
     def __len__(self) -> int:
-        return len(self.knots)
+        return self.knots.size
 
     def __repr__(self) -> str:
-        return f"PsiTable({len(self.knots)} knots on [{self.knots[0]}, {self.knots[-1]}], k0={self.k0})"
+        first, last = self.knots[[0, -1]].tolist()
+        return f"PsiTable({len(self)} knots on [{first}, {last}], k0={self.k0})"
 
     def evaluate(self, k: float) -> float:
         """Value at the largest knot <= k (right-continuous step)."""
         if k < self.knots[0]:
-            raise ValueError(f"level {k} is below the first knot {self.knots[0]}")
-        return self.values[bisect_right(self.knots, k) - 1]
+            raise ValueError(f"level {k} is below the first knot {self.knots[0].item()}")
+        return self.values[np.searchsorted(self.knots, k, side="right") - 1].item()
 
 
 # --------------------------------------------------------------------------
@@ -415,10 +420,6 @@ class PsiTable:
 #: A batch of pairs as arrays (h, k, psi_h, psi_k) that broadcast against
 #: each other; its pairs are the entries with h > k, in row-major order.
 Batch = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _table_arrays(table: PsiTable) -> Tuple[np.ndarray, np.ndarray]:
-    return np.array(table.knots), np.array(table.values)
 
 
 class AllKnotPairs:
@@ -434,7 +435,7 @@ class AllKnotPairs:
     """
 
     def pair_arrays(self, table: PsiTable) -> Iterator[Batch]:
-        knots, values = _table_arrays(table)
+        knots, values = table.knots, table.values
         n = knots.size
         step = max(1, _BATCH_PAIRS // n)
         for start in range(0, n - 1, step):
@@ -451,7 +452,7 @@ class Doubling:
     """Only the pairs (h, k) = (2k, k); psi(2k) uses the step convention."""
 
     def pair_arrays(self, table: PsiTable) -> Iterator[Batch]:
-        knots, values = _table_arrays(table)
+        knots, values = table.knots, table.values
         with np.errstate(over="ignore"):
             h = 2.0 * knots
         keep = (h <= knots[-1]) & (h > knots)
@@ -469,7 +470,7 @@ class RandomPairs:
         self.seed = int(seed)
 
     def pair_arrays(self, table: PsiTable) -> Iterator[Batch]:
-        knots, values = _table_arrays(table)
+        knots, values = table.knots, table.values
         n = knots.size
         if n < 2:
             return
@@ -644,7 +645,7 @@ def check_envelope(
         raise ValueError(
             f"table origin k0={table.k0} lies below hypothesis k0={hyp.k0}"
         )
-    knots, values = _table_arrays(table)
+    knots, values = table.knots, table.values
     scale, log_factor = _envelope_logs(hyp, psi_at_k0, knots)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_ratios = np.log(values) - (np.log(scale) + log_factor)
@@ -665,9 +666,9 @@ class GiustiResult:
     """Iterates of x_{i+1} = c_bar m^i x_i^beta and the decay bound.
 
     ``premise_holds`` records whether x0 <= c_bar^{-1/(beta-1)}
-    m^{-1/(beta-1)^2}; ``bound_holds`` whether every iterate satisfies
-    x_i <= m^{-i/(beta-1)} x0 within 4 ulps; ``first_violation`` is the
-    first index breaking the bound, or None.
+    m^{-1/(beta-1)^2}, compared through logs; ``bound_holds`` whether
+    every iterate satisfies x_i <= m^{-i/(beta-1)} x0 within 4 ulps;
+    ``first_violation`` is the first index breaking the bound, or None.
     """
 
     xs: list
@@ -696,8 +697,8 @@ def giusti_recursion(
         raise ValueError(f"x0 must be nonnegative and finite, got {x0}")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    threshold = c_bar ** (-1.0 / (beta - 1.0)) * m ** (-1.0 / (beta - 1.0) ** 2)
-    premise_holds = x0 <= threshold
+    log_threshold = -(math.log(c_bar) + math.log(m) / (beta - 1.0)) / (beta - 1.0)
+    premise_holds = _log(x0) <= log_threshold
     xs = [x0]
     x = x0
     for i in range(steps):

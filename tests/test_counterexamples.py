@@ -11,6 +11,7 @@ import pytest
 from leveldecay.counterexamples import (
     LOG_SQUARE_C2,
     LOG_SQUARE_C2_ALIAS,
+    NamedPsi,
     equivalence_constant,
     exp_power_psi,
     find_envelope_violation,
@@ -170,6 +171,17 @@ def test_find_envelope_violation_none_below_small_kmax():
     psi = log_square_psi()
     hyp = _canonical_log_square_hyp()
     assert find_envelope_violation(psi, hyp, psi_at_k0=1.0, k_max=1e4) is None
+
+
+def test_find_envelope_violation_envelope_beyond_float_range():
+    # at k0 the envelope log is log(1e308) + 1 > log(max float)
+    big = NamedPsi("big", 1.0, lambda k: math.inf, lambda k: 800.0)
+    hyp = DecayHypothesis(1.0, 1.0, 1.0, 1.0, 2.0, k0=1.0)
+    cert = find_envelope_violation(big, hyp, 1e308, k_max=10.0)
+    assert cert.level == 1.0
+    assert cert.psi_log == 800.0
+    assert cert.envelope_log == math.log(1e308) + 1.0
+    assert cert.envelope_value == math.inf
 
 
 def test_find_envelope_violation_wrong_case():

@@ -2,15 +2,16 @@
 
 Envelope-constant expectations are frozen from hand evaluation of the
 closed formulas; recursion oracles come from exact rational iteration;
-the vectorized log-space pair checks are compared with the scalar
-linear-space loop they replaced.
+the vectorized log-space pair checks and the array PsiTable validator
+are compared with the scalar loops they replaced.
 """
 import math
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from leveldecay import lemma
 from leveldecay.lemma import (
@@ -249,6 +250,8 @@ def test_psi_table_validation():
         PsiTable(knots=[0.5, 2.0], values=[1.0, 0.5], k0=1.0)  # knot below k0
     with pytest.raises(ValueError):
         PsiTable(knots=[], values=[], k0=0.0)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        PsiTable(knots=[[1.0, 2.0]], values=[[1.0, 0.5]], k0=1.0)
 
 
 def test_psi_table_rounding_slack():
@@ -269,6 +272,156 @@ def test_psi_table_step_evaluation():
     assert t.evaluate(100.0) == 0.25
     with pytest.raises(ValueError):
         t.evaluate(0.5)
+
+
+def _scalar_table_check(knots, values, k0):
+    """The scalar validator PsiTable ran before it kept arrays (oracle).
+
+    Returns the accepted (knots, values, k0) as tuples of floats and a
+    float, or raises the ValueError PsiTable must raise.
+    """
+    knots = tuple(float(k) for k in knots)
+    values = tuple(float(v) for v in values)
+    if len(knots) == 0:
+        raise ValueError("table must contain at least one knot")
+    if len(knots) != len(values):
+        raise ValueError(
+            f"knots and values differ in length: {len(knots)} vs {len(values)}"
+        )
+    if not (math.isfinite(k0) and k0 >= 0.0):
+        raise ValueError(f"k0 must be finite and nonnegative, got {k0}")
+    if not all(math.isfinite(k) for k in knots):
+        raise ValueError("knots must be finite")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("values must be finite")
+    if knots[0] < k0:
+        raise ValueError(f"first knot {knots[0]} lies below k0={k0}")
+    for a, b in zip(knots, knots[1:]):
+        if not b > a:
+            raise ValueError(f"knots must be strictly increasing, got {a} then {b}")
+    for v in values:
+        if v < 0.0:
+            raise ValueError(f"values must be nonnegative, got {v}")
+    for a, b in zip(values, values[1:]):
+        if b > a + lemma._MONOTONE_SLACK * a:
+            raise ValueError(f"values must be nonincreasing, got {a} then {b}")
+    return knots, values, float(k0)
+
+
+_SLACK = lemma._MONOTONE_SLACK
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, -1.0, -1e-300, 5e-324, 1e308, 1.7976931348623157e308,
+     math.inf, -math.inf, math.nan]
+)
+
+
+@st.composite
+def _raw_tables(draw):
+    """Knots, values and k0 near the edge of every PsiTable check.
+
+    Knots step up, now and then tie or step down; values tie, fall, drop
+    to 0 or by 1, rise by exactly the 1e-12 relative slack or by one ulp
+    more; about one entry in twelve is an edge value (negative, zero,
+    huge or non-finite).  k0 is the first knot, 0, an int or a drawn
+    float, and the lengths differ now and then.
+    """
+
+    def rare(usual):
+        return _EDGE_FLOATS if draw(st.integers(0, 11)) == 0 else usual
+
+    n = draw(st.integers(min_value=1, max_value=6))
+    knot = draw(rare(st.floats(0.0, 4.0)))
+    value = draw(rare(st.floats(0.0, 4.0)))
+    knots, values = [], []
+    for _ in range(n):
+        knots.append(knot)
+        values.append(value)
+        if draw(st.integers(0, 7)) == 0:
+            knot = draw(st.sampled_from([knot, knot - 0.5]))
+        else:
+            knot = draw(rare(
+                st.builds(lambda step: knot + step, st.floats(1e-3, 3.0))
+                | st.just(math.nextafter(knot, math.inf))
+            ))
+        exact = value + _SLACK * value
+        value = draw(rare(
+            st.sampled_from(
+                [value, 0.0, value - 1.0, exact, math.nextafter(exact, math.inf)]
+            )
+            | st.builds(lambda share: value * share, st.floats(0.0, 1.0))
+        ))
+    if draw(st.integers(min_value=0, max_value=11)) == 0:
+        values = values[:-1] if draw(st.booleans()) else values + [0.5]
+    k0 = draw(rare(st.sampled_from([knots[0], 0.0, 0, 1, -1]) | st.floats(0.0, 1.0)))
+    return knots, values, k0
+
+
+@given(_raw_tables())
+@example(([1.0, 2.0], [0.5, 0.5 + _SLACK * 0.5], 1.0))
+@example(([1.0, 2.0], [0.5, math.nextafter(0.5 + _SLACK * 0.5, math.inf)], 1.0))
+@example(([1.0, 2.0], [1.7976931348623157e308] * 2, 1.0))
+@example(([1.0, 2.0], [1.0, -0.0], 1.0))
+@example(([1.0, 1.0, 3.0], [1.0, 0.5, 0.25], 0))
+@example(([1.0], [1.0], -1))
+@example(([2.0, 3.0], [1.0, 0.5], 3))
+@example(([], [], 0.0))
+@example(([1.0, 2.0, 2.0, 3.0, 3.0], [1.0] * 5, 1.0))
+@example(([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 1.0, 3.0], 1.0))
+@example(([1.0, 2.0, 3.0], [1.0, -1.0, -2.0], 1.0))
+@settings(max_examples=200, deadline=None)
+def test_psi_table_validation_matches_scalar_oracle(raw):
+    knots, values, k0 = raw
+    try:
+        want = _scalar_table_check(knots, values, k0)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            PsiTable(knots, values, k0)
+        assert str(got.value) == str(exc)
+        return
+    table = PsiTable(knots, values, k0)
+    for array, expected in ((table.knots, want[0]), (table.values, want[1])):
+        assert array.dtype == np.float64 and not array.flags.writeable
+        assert array.tobytes() == np.array(expected).tobytes()
+    assert type(table.k0) is float and table.k0 == want[2]
+
+
+def test_psi_table_arrays_are_read_only_copies():
+    knots, values = np.array([1.0, 2.0, 4.0]), [1.0, 0.5, 0.25]
+    table = PsiTable(knots, values, k0=1.0)
+    with pytest.raises(ValueError):
+        table.knots[0] = 2.0
+    with pytest.raises(ValueError):
+        table.values[0] = 2.0
+    knots[0] = 0.5
+    assert table.knots.tolist() == [1.0, 2.0, 4.0]
+    with pytest.raises(AttributeError):
+        table.k0 = 2.0
+    assert len(table) == 3
+    assert repr(table) == "PsiTable(3 knots on [1.0, 4.0], k0=1.0)"
+
+
+@given(
+    st.lists(st.floats(0.0, 100.0), min_size=1, max_size=8, unique=True),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_psi_table_evaluate_matches_bisect(knots, data):
+    knots = sorted(knots)
+    values = [1.0 / (1.0 + i) for i in range(len(knots))]
+    table = PsiTable(knots, values, k0=knots[0])
+    k = data.draw(
+        st.sampled_from(knots)
+        | st.floats(-1.0, 200.0)
+        | st.sampled_from([math.inf, math.nan])
+    )
+    if k < knots[0]:
+        with pytest.raises(ValueError) as got:
+            table.evaluate(k)
+        assert str(got.value) == f"level {k} is below the first knot {knots[0]}"
+        return
+    got = table.evaluate(k)
+    assert type(got) is float
+    assert got == values[bisect_right(knots, k) - 1]
 
 
 # ---------------------------------------------------------------- hypothesis checks
@@ -557,8 +710,8 @@ def test_check_hypothesis_matches_scalar_oracle_over_several_batches(make, seed)
     assert rep.worst_pair == worst_pair
     assert rep.first_violation == first_violation
     if make is _drop_table:
-        assert table.knots.index(rep.worst_pair[1]) == start
-        assert table.knots.index(rep.first_violation[1]) == start
+        assert list(table.knots).index(rep.worst_pair[1]) == start
+        assert list(table.knots).index(rep.first_violation[1]) == start
 
 
 def test_check_hypothesis_ratio_of_exactly_one_is_no_violation():
@@ -688,6 +841,19 @@ def test_giusti_premise_violated():
     assert not res.premise_holds
     assert not res.bound_holds
     assert res.first_violation == 1  # x1 = 1 > 2^{-1} * 1
+
+
+def test_giusti_premise_beyond_float_range():
+    # c_bar**(-1/(beta-1)) = 10**300000 overflows; the premise compares
+    # logs.  The threshold is 10**-1030 at m = 2 and 10**123909 at m = 1.5.
+    res = giusti_recursion(1e-300, 2.0, 1.001, 1.0, 3)
+    assert not res.premise_holds
+    assert res.first_violation == 1
+    res = giusti_recursion(1e-300, 1.5, 1.001, 1.0, 3)
+    assert res.premise_holds
+    assert res.bound_holds
+    # (beta - 1)**2 overflows at beta = 1e200, where the threshold is 1
+    assert giusti_recursion(1.0, 2.0, 1e200, 0.5, 3).premise_holds
 
 
 def test_giusti_domain_errors():
