@@ -74,14 +74,24 @@ def _log_psi_log_square(k: float) -> float:
     return -(math.log(k) ** 2)
 
 
-def psi_exp_power(k: float, c_exp: float) -> float:
-    """exp(-k**p) with p = log2(2 c_exp), on [1, inf); requires c_exp > 1."""
-    if not c_exp > 1.0:
-        raise ValueError(f"c_exp must exceed 1, got {c_exp}")
+def _log_psi_exp_power(k: float, p: float) -> float:
+    """-(k**p) on [1, inf), or -inf where k**p exceeds the float range."""
     if not k >= 1.0:
         raise ValueError(f"psi_exp_power is defined on [1, inf), got k={k}")
-    p = math.log2(2.0 * c_exp)
-    return math.exp(-(k**p))
+    try:
+        return -(k**p)
+    except OverflowError:
+        return -math.inf
+
+
+def psi_exp_power(k: float, c_exp: float) -> float:
+    """exp(-k**p) with p = log2(2 c_exp), on [1, inf); requires c_exp > 1.
+
+    Reads 0.0 where k**p exceeds the float range.
+    """
+    if not c_exp > 1.0:
+        raise ValueError(f"c_exp must exceed 1, got {c_exp}")
+    return math.exp(_log_psi_exp_power(k, math.log2(2.0 * c_exp)))
 
 
 @dataclass(frozen=True)
@@ -106,21 +116,18 @@ def log_square_psi() -> NamedPsi:
 
 
 def exp_power_psi(c_exp: float) -> NamedPsi:
-    """The family psi(k) = exp(-k**p), p = log2(2 c_exp), as a NamedPsi."""
+    """The family psi(k) = exp(-k**p), p = log2(2 c_exp), as a NamedPsi.
+
+    Past the float range of k**p the value reads 0.0 and the log -inf.
+    """
     if not c_exp > 1.0:
         raise ValueError(f"c_exp must exceed 1, got {c_exp}")
     p = math.log2(2.0 * c_exp)
-
-    def _log_eval(k: float) -> float:
-        if not k >= 1.0:
-            raise ValueError(f"psi_exp_power is defined on [1, inf), got k={k}")
-        return -(k**p)
-
     return NamedPsi(
         name="exp_power",
         k0=1.0,
         evaluator=lambda k: psi_exp_power(k, c_exp),
-        log_evaluator=_log_eval,
+        log_evaluator=lambda k: _log_psi_exp_power(k, p),
         parameters={"c_exp": c_exp, "p": p},
     )
 
@@ -185,19 +192,27 @@ def find_envelope_violation(
     """Search for a level where psi exceeds the case's envelope.
 
     ExponentialDecay: sweeps levels geometrically (64 per decade) from
-    the origin up to ``k_max`` and returns the first crossing, comparing
-    in log space so underflowed values cannot hide it.  ``tau_override``
-    substitutes the envelope scale (the violation exists for every tau;
-    the certificate simply moves).  Vanishing: returns the level ``2 L``
-    where the envelope is 0 but psi is provably positive.  Returns None
-    when no violation is found at or below ``k_max``.
+    the origin max(hyp.k0, psi.k0), which must be positive, up to
+    ``k_max`` and returns the first crossing, comparing in log space so
+    underflowed values cannot hide it.  ``tau_override`` substitutes the
+    envelope scale (the violation exists for every tau; the certificate
+    simply moves).  Vanishing: returns the level ``2 L`` where the
+    envelope is 0 but psi is provably positive, or None when the log of
+    psi at ``2 L`` reads -inf (below the float range, so positivity is
+    not certified).  Returns None when no violation is found at or below
+    ``k_max``, which must be finite.
     """
     if psi_at_k0 < 0.0:
         raise ValueError("psi_at_k0 must be nonnegative")
-    if not k_max > 0.0:
-        raise ValueError(f"k_max must be positive, got {k_max}")
+    if not 0.0 < k_max < math.inf:
+        raise ValueError(f"k_max must be positive and finite, got {k_max}")
     case = classify(hyp)
     if case.tag is CaseTag.EXPONENTIAL_DECAY:
+        start = max(hyp.k0, psi.k0)
+        if not start > 0.0:
+            raise ValueError(
+                f"the sweep origin max(hyp.k0, psi.k0) must be positive, got {start}"
+            )
         if tau_override is None:
             tau = exp_decay_tau(hyp).tau
         else:
@@ -206,10 +221,14 @@ def find_envelope_violation(
             tau = tau_override
         theta = (hyp.D - hyp.A) / hyp.D
         log_psi0 = math.log(psi_at_k0) if psi_at_k0 > 0.0 else -math.inf
-        start = max(hyp.k0, psi.k0)
         j = 0
         while True:
-            k = start * 10.0 ** (j / _POINTS_PER_DECADE)
+            try:
+                k = start * 10.0 ** (j / _POINTS_PER_DECADE)
+            except OverflowError:  # an origin below about 1.01, k_max near the float max
+                raise ValueError(
+                    f"the sweep from {start} leaves the float range below k_max={k_max}"
+                ) from None
             if k > k_max:
                 return None
             envelope_log = log_psi0 + 1.0 - ((k - hyp.k0) / tau) ** theta

@@ -276,11 +276,15 @@ def vanishing_level(hyp: DecayHypothesis, psi_at_k0: float) -> EnvelopeConstants
     log_c1 = math.log(hyp.c1)
     log_one_plus = B * math.log1p(psi_at_k0)
     third = _exp((log_c1 + (1.0 + D) * _LOG2 + log_one_plus) / (D - A))
+    try:
+        square = (C - 1.0) ** 2
+    except OverflowError:  # C past about 1e154, where D / (C-1)**2 is 0.0
+        square = math.inf
     fourth = _exp(
         (
             C / (C - 1.0) * log_c1
             + log_one_plus
-            + (D + 1.0 + (A + D + 1.0) / (C - 1.0) + D / (C - 1.0) ** 2) * _LOG2
+            + (D + 1.0 + (A + D + 1.0) / (C - 1.0) + D / square) * _LOG2
         )
         * (C - 1.0)
         / ((D - A) * C)

@@ -10,10 +10,10 @@ linear in the radius with zero boundary trace, the coefficient and the
 source act through cell midpoint values, and every cell carries the
 exact measure of its spherical shell.  The coefficient decays in u, so
 the functional is noncoercive.  Every cell couples only its two end
-nodes, so the exact Hessian is tridiagonal; minimizers are found by a
-damped Newton method on it, with a Levenberg shift toward the discrete
-L^2(mu) metric where the Hessian is indefinite and an Armijo
-backtracking line search on the energy.
+nodes, so the exact Hessian is tridiagonal, and one pass over the cells
+yields it with the gradient; minimizers are found by a damped Newton
+method on it, with a Levenberg shift toward the discrete L^2(mu) metric
+where the Hessian is indefinite and an Armijo line search on the energy.
 
 ``experiment_regularity`` runs the minimizer over a ladder of grids with
 warm starts and summarizes the level-set geometry of the solution: a
@@ -25,7 +25,7 @@ dispatch, for the experiment and for stored profiles alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -198,7 +198,7 @@ def _check_compatible(u: np.ndarray, grid: RadialGrid, spec: FunctionalSpec) -> 
 
 
 # --------------------------------------------------------------------------
-# energy and gradient
+# energy and its derivatives
 # --------------------------------------------------------------------------
 def _energy(u, h, meas, fbar, beta1, b, ap, p, eps) -> float:
     ubar = 0.5 * (u[:-1] + u[1:])
@@ -208,28 +208,11 @@ def _energy(u, h, meas, fbar, beta1, b, ap, p, eps) -> float:
     return float(np.sum(meas * (a * je - fbar * ubar)))
 
 
-def _gradient(u, h, meas, fbar, beta1, b, ap, p, eps) -> np.ndarray:
-    ubar = 0.5 * (u[:-1] + u[1:])
-    du = (u[1:] - u[:-1]) / h
-    absu = np.abs(ubar)
-    a = beta1 / (b + absu) ** ap
-    da = -ap * beta1 * np.sign(ubar) / (b + absu) ** (ap + 1)
-    je = (eps * eps + du * du) ** (p / 2) - eps**p
-    jp = p * du * (eps * eps + du * du) ** (p / 2 - 1)
-    half = 0.5 * meas * (da * je - fbar)
-    flux = meas * a * jp / h
-    g = np.zeros(u.size - 1)
-    g += half - flux
-    g[1:] += half[:-1] + flux[:-1]
-    return g
+def _derivatives(u, h, meas, fbar, beta1, b, ap, p, eps) -> Tuple[np.ndarray, ...]:
+    """Gradient g and exact tridiagonal Hessian (diag, off) over the free nodes.
 
-
-def _hessian(u, h, meas, fbar, beta1, b, ap, p, eps) -> Tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the exact Hessian over the free nodes.
-
-    Cell i adds w1 [[1,1],[1,1]] + w2 [[1,-1],[-1,1]] + w3 diag(-1,1) to
-    the nodes (i, i+1), from the a''(ubar) J, a(ubar) J'' and a'(ubar) J'
-    terms of its energy.
+    Cell i adds half -/+ flux to g at (i, i+1) and, from its a''J, aJ'' and
+    a'J' terms, w1 [[1,1],[1,1]] + w2 [[1,-1],[-1,1]] + w3 diag(-1,1) to H.
     """
     ubar = 0.5 * (u[:-1] + u[1:])
     du = (u[1:] - u[:-1]) / h
@@ -238,17 +221,23 @@ def _hessian(u, h, meas, fbar, beta1, b, ap, p, eps) -> Tuple[np.ndarray, np.nda
     da = -ap * beta1 * np.sign(ubar) / (b + absu) ** (ap + 1)
     dda = ap * (ap + 1) * beta1 / (b + absu) ** (ap + 2)
     q = eps * eps + du * du
+    q_power = q ** (p / 2 - 1)
     je = q ** (p / 2) - eps**p
-    jp = p * du * q ** (p / 2 - 1)
+    jp = p * du * q_power
+    half = 0.5 * meas * (da * je - fbar)
+    flux = meas * a * jp / h
+    g = np.zeros(u.size - 1)
+    g += half - flux
+    g[1:] += half[:-1] + flux[:-1]
     # J'' = p q^(p/2-1) (1 + (p-2) t^2/q), finite at q = 0 for p >= 2
     slope_share = np.divide(du * du, q, out=np.zeros_like(q), where=q > 0.0)
-    jpp = p * q ** (p / 2 - 1) * (1.0 + (p - 2.0) * slope_share)
+    jpp = p * q_power * (1.0 + (p - 2.0) * slope_share)
     w1 = 0.25 * meas * dda * je
     w2 = meas * a * jpp / (h * h)
     w3 = meas * da * jp / h
     diag = w1 + w2 - w3
     diag[1:] += (w1 + w2 + w3)[:-1]
-    return diag, (w1 - w2)[:-1]
+    return g, diag, (w1 - w2)[:-1]
 
 
 def _tridiagonal_solve(diag, off, rhs) -> Optional[np.ndarray]:
@@ -333,7 +322,8 @@ def energy_gradient(field: DiscreteField, grid: RadialGrid, spec: FunctionalSpec
     if eps == 0.0 and p < 2.0:
         raise ValueError("epsilon must be positive when p < 2 (nonsmooth density)")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _gradient(u, grid.spacing, grid.cell_measures, spec.source, beta1, b, ap, p, eps)
+        args = (grid.spacing, grid.cell_measures, spec.source, beta1, b, ap, p, eps)
+        return _derivatives(u, *args)[0]
 
 
 # --------------------------------------------------------------------------
@@ -447,7 +437,7 @@ def minimize(
         trace = [energy]
         iterations = 0
         while True:
-            g = _gradient(u, *args)
+            g, diag, off = _derivatives(u, *args)
             grad_norm = _dual_norm(g, metric)
             if grad_norm <= tolerances.grad_tol:
                 status = "converged"
@@ -455,7 +445,7 @@ def minimize(
             if iterations >= tolerances.max_iters:
                 status = "max_iters"
                 break
-            direction = _newton_direction(*_hessian(u, *args), metric, g)
+            direction = _newton_direction(diag, off, metric, g)
             if direction is None:
                 status = "stagnated"
                 break
@@ -467,7 +457,7 @@ def minimize(
                 trial_energy = _energy(trial, *args)
                 if not (
                     math.isfinite(trial_energy)
-                    and _dual_norm(_gradient(trial, *args), metric)
+                    and _dual_norm(_derivatives(trial, *args)[0], metric)
                     <= _ROUNDOFF_GAIN * grad_norm
                 ):
                     status = "roundoff"

@@ -122,6 +122,18 @@ def test_constants_beyond_float_range_read_inf(tmp_path, capsys):
     assert rows[0]["c_bar"] == "inf"
 
 
+def test_constants_vanishing_with_exponents_near_float_max(tmp_path, capsys):
+    # (C - 1)**2 overflows at C = 1e300; L = 2**((D+1) (C-1)/((D-A) C)) = 8
+    cfg = write(
+        tmp_path / "c.ini",
+        "[lemma]\nc1 = 1\nA = 1\nB = 1e300\nC = 1e300\nD = 2\n",
+    )
+    assert main(["constants", "--config", cfg]) == 0
+    rows = parse_csv(capsys.readouterr().out)
+    assert rows[0]["case"] == "Vanishing"
+    assert float(rows[0]["L"]) == pytest.approx(8.0, rel=1e-12)
+
+
 def test_constants_unclassified_prints_empty_row(tmp_path, capsys):
     cfg = write(
         tmp_path / "c.ini",
@@ -287,6 +299,23 @@ def test_counterexample_exp_power(tmp_path, capsys):
     assert math.isfinite(psi_log) and psi_log < 0.0
     assert float(out["envelope_at_level"]) == 0.0
     assert (tmp_path / "counterexample_exp_power.csv").exists()
+
+
+@pytest.mark.parametrize("c_exp", ["1e5", "1000", "1e10"])
+def test_counterexample_exp_power_past_float_range(tmp_path, capsys, c_exp):
+    # psi(2L) = exp(-(2L)**p) has a log below the float range: no certificate.
+    # At C = 1000 that happens in the log evaluator at 2L; at C = 1e10
+    # already in the tabulated values, which read 0.0.
+    cfg = write(
+        tmp_path / "c.ini",
+        f"[lemma]\nC = {c_exp}\nD = 2.0\n[output]\ndirectory = {tmp_path}\n",
+    )
+    assert main(["counterexample", "--config", cfg, "--name", "exp_power"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = parse_kv(captured.out)
+    assert out["doubling_passed"] == "True"
+    assert out["violation_found"] == "False"
 
 
 def test_counterexample_exp_power_requires_c_above_one(tmp_path, capsys):

@@ -93,6 +93,27 @@ def test_psi_exp_power_monotone_to_zero():
     assert vals[-1] == 0.0  # underflow far out; the math limit is 0
 
 
+def test_exp_power_past_float_range_reads_zero_and_minus_inf():
+    # p = log2(2e10) = 34.2, so k**p passes the float range near k = 1e9
+    psi = exp_power_psi(1e10)
+    assert psi_exp_power(2.0**40, 1e10) == 0.0
+    assert psi.evaluator(2.0**40) == 0.0
+    assert psi.log_evaluator(2.0**40) == -math.inf
+    assert psi.log_evaluator(math.inf) == -math.inf
+    # in range the log is -(k**p) exactly
+    assert psi.log_evaluator(8.0) == -(8.0 ** psi.parameters["p"])
+    assert psi_exp_power(8.0, 1e10) == math.exp(-(8.0 ** psi.parameters["p"]))
+    with pytest.raises(ValueError):
+        psi.log_evaluator(0.5)
+
+
+def test_vanishing_violation_none_when_log_at_2l_is_below_float_range():
+    # C = 1000 puts 2L near 1.8e137, and (2L)**p with p = 11 past the float range
+    psi = exp_power_psi(1000.0)
+    hyp = DecayHypothesis(1.0, A=1.0, B=1000.0, C=1000.0, D=2.0, k0=1.0)
+    assert find_envelope_violation(psi, hyp, psi.evaluator(1.0), k_max=1e300) is None
+
+
 # ---------------------------------------------------------------- k0 search
 def test_k0_for_exp_power_trivial():
     # [DERIVED]: (D=2, C=2): 2k^2 >= 2 ln k for all k >= 1, so k0 = 1.
@@ -182,6 +203,21 @@ def test_find_envelope_violation_envelope_beyond_float_range():
     assert cert.psi_log == 800.0
     assert cert.envelope_log == math.log(1e308) + 1.0
     assert cert.envelope_value == math.inf
+
+
+def test_find_envelope_violation_rejects_sweeps_that_cannot_end():
+    flat = NamedPsi("flat", 0.0, lambda k: 0.0, lambda k: -math.inf)
+    hyp = DecayHypothesis(1.0, 1.0, 1.0, 1.0, 2.0)  # k0 = 0: the sweep stays at 0
+    with pytest.raises(ValueError, match="origin"):
+        find_envelope_violation(flat, hyp, 1.0, k_max=1e300)
+    at_one = NamedPsi("flat", 1.0, lambda k: 0.0, lambda k: -math.inf)
+    for k_max in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="k_max"):
+            find_envelope_violation(at_one, hyp, 1.0, k_max=k_max)
+    # from 1.0 the sweep reaches 10**308.25 <= k_max, and the next level overflows
+    with pytest.raises(ValueError, match="float range"):
+        find_envelope_violation(at_one, hyp, 1.0, k_max=1.79e308)
+    assert find_envelope_violation(at_one, hyp, 1.0, k_max=1.7e308) is None
 
 
 def test_find_envelope_violation_wrong_case():

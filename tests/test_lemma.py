@@ -188,6 +188,8 @@ def test_constants_beyond_float_range_read_inf():
     # D - A = 1e-3 raises the power products to the 1000th power.
     assert exp_decay_tau(DecayHypothesis(1e3, 1.0, 1.0, 1.0, 1.001, 0.0)).tau == math.inf
     assert vanishing_level(DecayHypothesis(1e3, 1.0, 3.0, 2.0, 1.001, 0.0), 1.0).L == math.inf
+    # B = C = 1e300: (C - 1)**2 is past the float range, B log 2 is not
+    assert vanishing_level(DecayHypothesis(1.0, 1.0, 1e300, 1e300, 2.0), 1.0).L == math.inf
     env = power_decay_constants(DecayHypothesis(2.0, 1.0, 0.999, 0.998, 2.0, 0.0), 1.0)
     assert env.lam == pytest.approx(1000.0, rel=1e-12)
     assert env.M == env.c_bar == math.inf

@@ -35,7 +35,7 @@ from leveldecay.variational import (
     minimize,
     truncate,
 )
-from leveldecay.variational import _coefficients, _hessian, _newton_direction
+from leveldecay.variational import _coefficients, _derivatives, _newton_direction
 
 
 def make_spec(grid, *, n=4, p=2.0, alpha=0.25, r=1.75, beta1=1.0, b_const=1.0,
@@ -195,7 +195,7 @@ def test_hessian_matches_finite_differences(p, alpha, epsilon, seed):
     rng = np.random.default_rng(seed)
     u = np.zeros(cells + 1)
     u[:-1] = rng.uniform(0.1, 3.0, cells)  # positive: no cell midpoint at the kink of a
-    diag, off = _hessian(u, grid.spacing, grid.cell_measures, spec.source, *_coefficients(spec))
+    _, diag, off = _derivatives(u, grid.spacing, grid.cell_measures, spec.source, *_coefficients(spec))
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     hfd = np.empty((cells, cells))
     for i in range(cells):
@@ -211,6 +211,81 @@ def test_hessian_matches_finite_differences(p, alpha, epsilon, seed):
         hfd[:, i] = (gp - gm) / (2 * t)
     scale = float(np.max(np.abs(hfd)))
     assert float(np.max(np.abs(dense - hfd))) <= 1e-6 * scale
+
+
+def _gradient_oracle(u, h, meas, fbar, beta1, b, ap, p, eps):
+    """The separate gradient kernel the solver used before ``_derivatives``."""
+    ubar = 0.5 * (u[:-1] + u[1:])
+    du = (u[1:] - u[:-1]) / h
+    absu = np.abs(ubar)
+    a = beta1 / (b + absu) ** ap
+    da = -ap * beta1 * np.sign(ubar) / (b + absu) ** (ap + 1)
+    je = (eps * eps + du * du) ** (p / 2) - eps**p
+    jp = p * du * (eps * eps + du * du) ** (p / 2 - 1)
+    half = 0.5 * meas * (da * je - fbar)
+    flux = meas * a * jp / h
+    g = np.zeros(u.size - 1)
+    g += half - flux
+    g[1:] += half[:-1] + flux[:-1]
+    return g
+
+
+def _hessian_oracle(u, h, meas, fbar, beta1, b, ap, p, eps):
+    """The separate Hessian kernel the solver used before ``_derivatives``."""
+    ubar = 0.5 * (u[:-1] + u[1:])
+    du = (u[1:] - u[:-1]) / h
+    absu = np.abs(ubar)
+    a = beta1 / (b + absu) ** ap
+    da = -ap * beta1 * np.sign(ubar) / (b + absu) ** (ap + 1)
+    dda = ap * (ap + 1) * beta1 / (b + absu) ** (ap + 2)
+    q = eps * eps + du * du
+    je = q ** (p / 2) - eps**p
+    jp = p * du * q ** (p / 2 - 1)
+    slope_share = np.divide(du * du, q, out=np.zeros_like(q), where=q > 0.0)
+    jpp = p * q ** (p / 2 - 1) * (1.0 + (p - 2.0) * slope_share)
+    w1 = 0.25 * meas * dda * je
+    w2 = meas * a * jpp / (h * h)
+    w3 = meas * da * jp / h
+    diag = w1 + w2 - w3
+    diag[1:] += (w1 + w2 + w3)[:-1]
+    return diag, (w1 - w2)[:-1]
+
+
+# node values from a small set give flat cells (equal neighbours) and
+# vanishing midpoints (opposite neighbours); the floats give sign changes
+_NODE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 3.0]),
+    st.floats(min_value=-5.0, max_value=5.0),
+)
+
+
+@given(
+    p=st.sampled_from([1.5, 2.0, 3.0]),
+    alpha=st.floats(min_value=0.0, max_value=0.6),
+    epsilon=st.sampled_from([0.0, 1e-6, 1e-3, 0.25, 1.0]),
+    n=st.integers(min_value=2, max_value=4),
+    scale=st.sampled_from([0.0, 1.0, -2.0]),
+    free=st.lists(_NODE_VALUES, min_size=1, max_size=40),
+)
+@example(p=2.0, alpha=0.25, epsilon=0.0, n=4, scale=0.0, free=[0.0, 0.0, 0.0])
+@example(p=3.0, alpha=0.1, epsilon=0.0, n=3, scale=1.0, free=[1.0, -1.0, 1.0, 1.0, 0.5])
+@example(p=1.5, alpha=0.2, epsilon=1e-6, n=4, scale=1.0, free=[-0.5, 0.5, 0.5, -3.0])
+@settings(max_examples=200, deadline=None)
+def test_derivatives_match_separate_gradient_and_hessian(p, alpha, epsilon, n, scale, free):
+    assume(p <= n and alpha * holder_conjugate(p) < 1.0)
+    assume(epsilon > 0.0 or p >= 2.0)
+    cells = len(free)
+    grid = RadialGrid(n=n, radius=1.0, cells=cells)
+    spec = make_spec(grid, n=n, p=p, alpha=alpha, r=1.5, scale=abs(scale), epsilon=epsilon)
+    source = math.copysign(1.0, scale) * spec.source
+    u = np.array(free + [0.0])
+    args = (u, grid.spacing, grid.cell_measures, source, *_coefficients(spec))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _derivatives(*args)
+        want = (_gradient_oracle(*args), *_hessian_oracle(*args))
+    for mine, oracle in zip(got, want):
+        assert np.array_equal(mine, oracle)
+        assert np.array_equal(np.signbit(mine), np.signbit(oracle))
 
 
 def test_newton_direction_shifts_indefinite_hessian():
