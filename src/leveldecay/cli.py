@@ -72,7 +72,6 @@ from .variational import (
     SolverTolerances,
     experiment_regularity,
     summarize,
-    tail_fit_of,
 )
 
 __all__ = ["ConfigError", "load_psi_table", "main"]
@@ -252,6 +251,13 @@ def _grid_ladder(cfg: configparser.ConfigParser) -> Tuple[int, ...]:
     refinements = _read(cfg, "grid", "refinements", int, 1)
     if refinements < 1:
         raise ConfigError(f"refinements must be >= 1, got {refinements}")
+    if cells < 1:
+        raise ConfigError("cells must be a positive integer")
+    if refinements > cells.bit_length():  # the coarsest grid would have no cell
+        raise ConfigError(
+            f"refinements must be at most {cells.bit_length()} for cells = {cells},"
+            f" got {refinements}"
+        )
     return tuple(cells // 2 ** (refinements - 1 - i) for i in range(refinements))
 
 
@@ -432,7 +438,9 @@ def _cmd_counterexample(
 
 
 def _cmd_minimize(cfg: configparser.ConfigParser) -> int:
-    report = _experiment(cfg, _params_from(cfg))
+    params = _params_from(cfg)
+    report = _experiment(cfg, params)
+    exps = compute_exponents(params)
     directory = _output_directory(cfg)
 
     nodes = report.grids[-1].nodes
@@ -446,13 +454,11 @@ def _cmd_minimize(cfg: configparser.ConfigParser) -> int:
         zip(profile.levels, profile.measures),
     )
 
-    predicted_s = (
-        -report.predicted_slope if report.predicted_slope is not None else None
-    )
     rows = []
     for i, cells in enumerate(report.grid_cells):
         run = report.reports[i]
-        fit = tail_fit_of(report.profiles[i])
+        summary = summarize(report.profiles[i], exps)
+        fit = summary.tail_fit
         rows.append(
             (
                 cells,
@@ -460,7 +466,7 @@ def _cmd_minimize(cfg: configparser.ConfigParser) -> int:
                 run.iterations,
                 run.energy_trace[-1],
                 report.max_u[i],
-                predicted_s,
+                -summary.predicted_slope if summary.predicted_slope is not None else None,
                 fit.slope if fit is not None else None,
             )
         )

@@ -28,6 +28,7 @@ from .lemma import (
     CaseTag,
     DecayHypothesis,
     WrongCaseError,
+    _check_psi_at_k0,
     _exp,
     classify,
     exp_decay_tau,
@@ -200,10 +201,10 @@ def find_envelope_violation(
     envelope is 0 but psi is provably positive, or None when the log of
     psi at ``2 L`` reads -inf (below the float range, so positivity is
     not certified).  Returns None when no violation is found at or below
-    ``k_max``, which must be finite.
+    ``k_max``, which must be finite; ``psi_at_k0`` must be finite and
+    nonnegative.
     """
-    if psi_at_k0 < 0.0:
-        raise ValueError("psi_at_k0 must be nonnegative")
+    _check_psi_at_k0(psi_at_k0)
     if not 0.0 < k_max < math.inf:
         raise ValueError(f"k_max must be positive and finite, got {k_max}")
     case = classify(hyp)

@@ -184,6 +184,11 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
+def _check_psi_at_k0(psi_at_k0: float) -> None:
+    if not 0.0 <= psi_at_k0 < math.inf:
+        raise ValueError(f"psi_at_k0 must be finite and nonnegative, got {psi_at_k0}")
+
+
 def _exp(x: float) -> float:
     """exp(x), or inf where it exceeds the float range."""
     try:
@@ -216,8 +221,7 @@ def power_decay_constants(hyp: DecayHypothesis, psi_at_k0: float) -> EnvelopeCon
     float range.
     """
     case = _require_case(hyp, CaseTag.POWER_DECAY, "power_decay_constants")
-    if psi_at_k0 < 0.0:
-        raise ValueError("psi_at_k0 must be nonnegative")
+    _check_psi_at_k0(psi_at_k0)
     lam, log_m, log_c_bar = _power_logs(hyp, psi_at_k0)
     return EnvelopeConstants(case=case, lam=lam, M=_exp(log_m), c_bar=_exp(log_c_bar))
 
@@ -268,8 +272,7 @@ def vanishing_level(hyp: DecayHypothesis, psi_at_k0: float) -> EnvelopeConstants
     beyond the float range.
     """
     case = _require_case(hyp, CaseTag.VANISHING, "vanishing_level")
-    if psi_at_k0 < 0.0:
-        raise ValueError("psi_at_k0 must be nonnegative")
+    _check_psi_at_k0(psi_at_k0)
     B = max(hyp.B, hyp.C)
     C = min(hyp.B, hyp.C)
     A, D, k0 = hyp.A, hyp.D, hyp.k0
@@ -304,6 +307,7 @@ def envelope_constants(hyp: DecayHypothesis, psi_at_k0: float) -> EnvelopeConsta
     if case.tag is CaseTag.POWER_DECAY:
         return power_decay_constants(hyp, psi_at_k0)
     if case.tag is CaseTag.EXPONENTIAL_DECAY:
+        _check_psi_at_k0(psi_at_k0)
         return exp_decay_tau(hyp)
     if case.tag is CaseTag.VANISHING:
         return vanishing_level(hyp, psi_at_k0)
@@ -339,7 +343,8 @@ def envelope(hyp: DecayHypothesis, psi_at_k0: float, k: float) -> float:
     Power decay returns ``+inf`` at k = 0 (the bound is vacuous there);
     the exponential envelope equals ``psi(k0) * e`` exactly at k = k0;
     the vanishing envelope is the step ``psi(k0)`` below ``2L`` and 0 at
-    and beyond it.  Raises :class:`ValueError` for k below k0 and
+    and beyond it.  Raises :class:`ValueError` for k below k0 or a
+    psi_at_k0 that is not finite and nonnegative, and
     :class:`WrongCaseError` for unclassified hypotheses.
     """
     if not k >= hyp.k0:

@@ -11,8 +11,8 @@ source act through cell midpoint values, and every cell carries the
 exact measure of its spherical shell.  The coefficient decays in u, so
 the functional is noncoercive.  Every cell couples only its two end
 nodes, so the exact Hessian is tridiagonal, and one pass over the cells
-yields it with the gradient; minimizers are found by a damped Newton
-method on it, with a Levenberg shift toward the discrete L^2(mu) metric
+yields the energy, gradient and Hessian.  Minimizers are found by a damped
+Newton method with a Levenberg shift toward the discrete L^2(mu) metric
 where the Hessian is indefinite and an Armijo line search on the energy.
 
 ``experiment_regularity`` runs the minimizer over a ladder of grids with
@@ -200,19 +200,13 @@ def _check_compatible(u: np.ndarray, grid: RadialGrid, spec: FunctionalSpec) -> 
 # --------------------------------------------------------------------------
 # energy and its derivatives
 # --------------------------------------------------------------------------
-def _energy(u, h, meas, fbar, beta1, b, ap, p, eps) -> float:
-    ubar = 0.5 * (u[:-1] + u[1:])
-    du = (u[1:] - u[:-1]) / h
-    a = beta1 / (b + np.abs(ubar)) ** ap
-    je = (eps * eps + du * du) ** (p / 2) - eps**p
-    return float(np.sum(meas * (a * je - fbar * ubar)))
+def _evaluate(u, h, meas, fbar, beta1, b, ap, p, eps) -> tuple:
+    """Energy, then gradient g and exact tridiagonal Hessian (diag, off) over the free nodes.
 
-
-def _derivatives(u, h, meas, fbar, beta1, b, ap, p, eps) -> Tuple[np.ndarray, ...]:
-    """Gradient g and exact tridiagonal Hessian (diag, off) over the free nodes.
-
-    Cell i adds half -/+ flux to g at (i, i+1) and, from its a''J, aJ'' and
-    a'J' terms, w1 [[1,1],[1,1]] + w2 [[1,-1],[-1,1]] + w3 diag(-1,1) to H.
+    One pass over the cells builds every cell array once.  Cell i adds
+    meas (a J - f ubar) to the energy, half -/+ flux to g at (i, i+1) and,
+    from its a''J, aJ'' and a'J' terms, w1 [[1,1],[1,1]] + w2 [[1,-1],[-1,1]]
+    + w3 diag(-1,1) to H.
     """
     ubar = 0.5 * (u[:-1] + u[1:])
     du = (u[1:] - u[:-1]) / h
@@ -223,6 +217,7 @@ def _derivatives(u, h, meas, fbar, beta1, b, ap, p, eps) -> Tuple[np.ndarray, ..
     q = eps * eps + du * du
     q_power = q ** (p / 2 - 1)
     je = q ** (p / 2) - eps**p
+    energy = float(np.sum(meas * (a * je - fbar * ubar)))
     jp = p * du * q_power
     half = 0.5 * meas * (da * je - fbar)
     flux = meas * a * jp / h
@@ -237,7 +232,7 @@ def _derivatives(u, h, meas, fbar, beta1, b, ap, p, eps) -> Tuple[np.ndarray, ..
     w3 = meas * da * jp / h
     diag = w1 + w2 - w3
     diag[1:] += (w1 + w2 + w3)[:-1]
-    return g, diag, (w1 - w2)[:-1]
+    return energy, g, diag, (w1 - w2)[:-1]
 
 
 def _tridiagonal_solve(diag, off, rhs) -> Optional[np.ndarray]:
@@ -306,8 +301,9 @@ def assemble_energy(field: DiscreteField, grid: RadialGrid, spec: FunctionalSpec
     u = field.nodal_values
     _check_compatible(u, grid, spec)
     beta1, b, ap, p, eps = _coefficients(spec)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _energy(u, grid.spacing, grid.cell_measures, spec.source, beta1, b, ap, p, eps)
+    # epsilon = 0 with p < 2 divides by zero in J' only, not in the energy
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _evaluate(u, grid.spacing, grid.cell_measures, spec.source, beta1, b, ap, p, eps)[0]
 
 
 def energy_gradient(field: DiscreteField, grid: RadialGrid, spec: FunctionalSpec) -> np.ndarray:
@@ -322,8 +318,7 @@ def energy_gradient(field: DiscreteField, grid: RadialGrid, spec: FunctionalSpec
     if eps == 0.0 and p < 2.0:
         raise ValueError("epsilon must be positive when p < 2 (nonsmooth density)")
     with np.errstate(over="ignore", invalid="ignore"):
-        args = (grid.spacing, grid.cell_measures, spec.source, beta1, b, ap, p, eps)
-        return _derivatives(u, *args)[0]
+        return _evaluate(u, grid.spacing, grid.cell_measures, spec.source, beta1, b, ap, p, eps)[1]
 
 
 # --------------------------------------------------------------------------
@@ -382,15 +377,15 @@ def _dual_norm(g: np.ndarray, metric: np.ndarray) -> float:
     return math.sqrt(float(g @ (g / metric)))
 
 
-def _line_search(u, direction, energy, decrement, args) -> Optional[Tuple[np.ndarray, float]]:
-    """Armijo backtracking from the full step; None below the step floor."""
+def _line_search(u, direction, energy, decrement, args) -> Optional[Tuple[np.ndarray, tuple]]:
+    """Armijo backtracking from the full step; (field, its evaluation) or None below the floor."""
     step = 1.0
     while step >= _STEP_FLOOR:
         trial = u.copy()
         trial[:-1] += step * direction
-        trial_energy = _energy(trial, *args)
-        if math.isfinite(trial_energy) and energy - trial_energy >= _ARMIJO * step * decrement:
-            return trial, trial_energy
+        evaluation = _evaluate(trial, *args)
+        if math.isfinite(evaluation[0]) and energy - evaluation[0] >= _ARMIJO * step * decrement:
+            return trial, evaluation
         step *= 0.5
     return None
 
@@ -431,13 +426,13 @@ def minimize(
     metric[1:] += 0.5 * meas[:-1]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        energy = _energy(u, *args)
-        if not math.isfinite(energy):
-            raise NonFiniteEnergyError(f"initial energy is {energy}")
-        trace = [energy]
+        evaluation = _evaluate(u, *args)
+        if not math.isfinite(evaluation[0]):
+            raise NonFiniteEnergyError(f"initial energy is {evaluation[0]}")
+        trace = [evaluation[0]]
         iterations = 0
         while True:
-            g, diag, off = _derivatives(u, *args)
+            energy, g, diag, off = evaluation
             grad_norm = _dual_norm(g, metric)
             if grad_norm <= tolerances.grad_tol:
                 status = "converged"
@@ -454,22 +449,20 @@ def minimize(
                 # the energy cannot rank this step; the gradient norm can
                 trial = u.copy()
                 trial[:-1] += direction
-                trial_energy = _energy(trial, *args)
+                accepted = trial, _evaluate(trial, *args)
                 if not (
-                    math.isfinite(trial_energy)
-                    and _dual_norm(_derivatives(trial, *args)[0], metric)
-                    <= _ROUNDOFF_GAIN * grad_norm
+                    math.isfinite(accepted[1][0])
+                    and _dual_norm(accepted[1][1], metric) <= _ROUNDOFF_GAIN * grad_norm
                 ):
                     status = "roundoff"
                     break
-                accepted = trial, trial_energy
             else:
                 accepted = _line_search(u, direction, energy, decrement, args)
             if accepted is None:
                 status = "stagnated"
                 break
-            u, energy = accepted
-            trace.append(energy)
+            u, evaluation = accepted
+            trace.append(evaluation[0])
             iterations += 1
 
     return MinimizeReport(
@@ -654,11 +647,11 @@ def summarize(profile: DistributionProfile, exps: ExponentSet) -> ProfileSummary
 
 
 def tail_fit_of(profile: DistributionProfile) -> Optional[FitResult]:
-    """Power-law fit over the top decade of positive-measure levels.
+    """Power-law fit over the top decade of positive levels with positive measure.
 
-    Returns None when the profile is empty or has too few points.
+    Returns None when there are no such levels or too few points.
     """
-    positive = profile.levels[profile.measures > 0.0]
+    positive = profile.levels[(profile.measures > 0.0) & (profile.levels > 0.0)]
     if positive.size == 0:
         return None
     k_top = float(positive[-1])

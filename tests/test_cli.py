@@ -257,6 +257,34 @@ def test_verify_knot_at_1e200(tmp_path, capsys):
     assert out["result"] == "violation"
 
 
+@pytest.mark.parametrize("psi_at_k0", ["nan", "-1.0"])
+def test_verify_rejects_a_bad_psi_at_k0(tmp_path, capsys, psi_at_k0):
+    knots = [float(k) for k in range(1, 31)]
+    psi = _write_psi_csv(tmp_path / "psi.csv", knots, [math.exp(-k) for k in knots])
+    cfg = write(
+        tmp_path / "c.ini",
+        "[lemma]\nc1 = 100\nA = 1\nB = 1\nC = 1\nD = 2\nk0 = 1\n"
+        f"psi_at_k0 = {psi_at_k0}\n",
+    )
+    assert main(["verify", "--config", cfg, "--psi", psi]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "psi_at_k0 must be finite and nonnegative" in captured.err
+
+
+@pytest.mark.parametrize(
+    "exponents",
+    ["A = 2\nB = 0.75\nC = 0.5\nD = 4", "A = 1\nB = 3\nC = 2\nD = 2"],
+    ids=["PowerDecay", "Vanishing"],
+)
+def test_constants_rejects_a_nan_psi_at_k0(tmp_path, capsys, exponents):
+    cfg = write(tmp_path / "c.ini", f"[lemma]\nc1 = 1\n{exponents}\npsi_at_k0 = nan\n")
+    assert main(["constants", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "psi_at_k0 must be finite and nonnegative" in captured.err
+
+
 def test_verify_unsorted_csv(tmp_path, capsys):
     psi = _write_psi_csv(tmp_path / "psi.csv", [4.0, 2.0, 1.0], [0.1, 0.5, 1.0])
     cfg = write(tmp_path / "c.ini", LEMMA_POWER)
@@ -397,6 +425,44 @@ def test_minimize_invalid_cells(tmp_path, capsys):
     assert main(["minimize", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "cells, refinements, message",
+    [
+        (64, 10**9, "refinements must be at most 7 for cells = 64, got 1000000000"),
+        (64, 8, "refinements must be at most 7 for cells = 64, got 8"),
+        (0, 10**9, "cells must be a positive integer"),
+    ],
+)
+def test_minimize_rejects_refinements_that_empty_the_coarsest_grid(
+    tmp_path, capsys, cells, refinements, message
+):
+    cfg = write(
+        tmp_path / "c.ini",
+        "[problem]\nn = 4\np = 2.0\nalpha = 0.25\nr = 1.75\n"
+        f"[grid]\ncells = {cells}\nrefinements = {refinements}\n",
+    )
+    assert main(["minimize", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("r, tail", [(1.75, True), (2.0, False), (3.0, False)])
+def test_minimize_report_fills_slopes_only_in_tail_regimes(tmp_path, capsys, r, tail):
+    d = tmp_path / "run"
+    d.mkdir()
+    problem = PROBLEM_SOBOLEV.replace("r = 1.75", f"r = {r}")
+    cfg = write(
+        d / "c.ini",
+        problem + "[grid]\ncells = 64\nrefinements = 2\n" f"[output]\ndirectory = {d}\n",
+    )
+    assert main(["minimize", "--config", cfg]) == 0
+    capsys.readouterr()
+    rows = list(csv.DictReader(io.StringIO((d / "report.csv").read_text("utf-8"))))
+    assert [row["cells"] for row in rows] == ["32", "64"]
+    for row in rows:
+        assert (row["predicted_s"] != "") is tail
+        assert (row["fitted_slope"] != "") is tail
+
+
 # ---------------------------------------------------------------- analyze
 def test_analyze_exact_power_profile(tmp_path, capsys):
     ks = np.geomspace(1.0, 1e3, 60)
@@ -410,6 +476,15 @@ def test_analyze_exact_power_profile(tmp_path, capsys):
     assert float(out["slope"]) == pytest.approx(-7.0, abs=1e-9)
     assert float(out["r_squared"]) == pytest.approx(1.0, abs=1e-9)
     assert float(out["predicted_slope"]) == pytest.approx(-7.0, rel=1e-12)
+
+
+def test_analyze_profile_with_only_level_zero(tmp_path, capsys):
+    prof = write(tmp_path / "profile.csv", "k,measure\n0.0,1.0\n")
+    cfg = write(tmp_path / "c.ini", PROBLEM_SOBOLEV)
+    assert main(["analyze", "--config", cfg, "--profile", prof]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: profile has too few positive tail points to fit\n"
 
 
 def test_analyze_malformed_profile(tmp_path, capsys):

@@ -220,6 +220,15 @@ def test_find_envelope_violation_rejects_sweeps_that_cannot_end():
     assert find_envelope_violation(at_one, hyp, 1.0, k_max=1.7e308) is None
 
 
+@pytest.mark.parametrize("psi_at_k0", [math.nan, -1.0, math.inf])
+def test_find_envelope_violation_rejects_a_bad_psi_at_k0(psi_at_k0):
+    exponential = DecayHypothesis(1.0, 1.0, 1.0, 1.0, 2.0, k0=1.0)
+    vanishing = DecayHypothesis(1.0, A=1.0, B=3.0, C=2.0, D=2.0, k0=1.0)
+    for psi, hyp in ((log_square_psi(), exponential), (exp_power_psi(2.0), vanishing)):
+        with pytest.raises(ValueError, match="psi_at_k0 must be finite and nonnegative"):
+            find_envelope_violation(psi, hyp, psi_at_k0, k_max=1e16)
+
+
 def test_find_envelope_violation_wrong_case():
     psi = log_square_psi()
     hyp = DecayHypothesis(1.0, A=2.0, B=0.75, C=0.5, D=4.0, k0=1.0)

@@ -219,6 +219,25 @@ def test_envelope_vanishing_step():
     assert envelope(hyp, 0.25, 0.5) == 0.25
 
 
+@pytest.mark.parametrize("psi_at_k0", [math.nan, -1.0, math.inf])
+def test_psi_at_k0_must_be_finite_and_nonnegative(psi_at_k0):
+    power = DecayHypothesis(1.0, A=2.0, B=0.75, C=0.5, D=4.0, k0=0.0)
+    exponential = DecayHypothesis(100.0, A=1.0, B=1.0, C=1.0, D=2.0, k0=1.0)
+    vanishing = DecayHypothesis(1.0, A=1.0, B=3.0, C=2.0, D=2.0, k0=0.0)
+    table = PsiTable([1.0, 2.0, 3.0], [math.exp(-1.0), math.exp(-2.0), math.exp(-3.0)], k0=1.0)
+    calls = [
+        lambda: power_decay_constants(power, psi_at_k0),
+        lambda: vanishing_level(vanishing, psi_at_k0),
+        lambda: check_envelope(table, exponential, psi_at_k0),
+        lambda: envelope(exponential, psi_at_k0, 2.0),
+    ]
+    for hyp in (power, exponential, vanishing):
+        calls.append(lambda hyp=hyp: envelope_constants(hyp, psi_at_k0))
+    for call in calls:
+        with pytest.raises(ValueError, match="psi_at_k0 must be finite and nonnegative"):
+            call()
+
+
 def test_envelope_nonincreasing_all_cases():
     cases = [
         DecayHypothesis(1.0, 2.0, 0.75, 0.5, 4.0, 0.0),

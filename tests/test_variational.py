@@ -17,9 +17,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 import leveldecay
-from conftest import TRICHOTOMY_TOL
+from conftest import TRICHOTOMY_GRIDS, TRICHOTOMY_TOL
+from leveldecay import variational
 from leveldecay.exponents import ProblemParams, compute_exponents, holder_conjugate
-from leveldecay.marcinkiewicz import distribution_function, power_source, unit_ball_volume
+from leveldecay.marcinkiewicz import (
+    DistributionProfile,
+    distribution_function,
+    power_source,
+    unit_ball_volume,
+)
 from leveldecay.variational import (
     DiscreteField,
     FunctionalSpec,
@@ -33,9 +39,10 @@ from leveldecay.variational import (
     level_profile,
     levelset_inequality_check,
     minimize,
+    tail_fit_of,
     truncate,
 )
-from leveldecay.variational import _coefficients, _derivatives, _newton_direction
+from leveldecay.variational import _coefficients, _evaluate, _newton_direction
 
 
 def make_spec(grid, *, n=4, p=2.0, alpha=0.25, r=1.75, beta1=1.0, b_const=1.0,
@@ -195,7 +202,7 @@ def test_hessian_matches_finite_differences(p, alpha, epsilon, seed):
     rng = np.random.default_rng(seed)
     u = np.zeros(cells + 1)
     u[:-1] = rng.uniform(0.1, 3.0, cells)  # positive: no cell midpoint at the kink of a
-    _, diag, off = _derivatives(u, grid.spacing, grid.cell_measures, spec.source, *_coefficients(spec))
+    _, _, diag, off = _evaluate(u, grid.spacing, grid.cell_measures, spec.source, *_coefficients(spec))
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     hfd = np.empty((cells, cells))
     for i in range(cells):
@@ -211,6 +218,15 @@ def test_hessian_matches_finite_differences(p, alpha, epsilon, seed):
         hfd[:, i] = (gp - gm) / (2 * t)
     scale = float(np.max(np.abs(hfd)))
     assert float(np.max(np.abs(dense - hfd))) <= 1e-6 * scale
+
+
+def _energy_oracle(u, h, meas, fbar, beta1, b, ap, p, eps):
+    """The separate energy kernel the solver used before ``_evaluate``."""
+    ubar = 0.5 * (u[:-1] + u[1:])
+    du = (u[1:] - u[:-1]) / h
+    a = beta1 / (b + np.abs(ubar)) ** ap
+    je = (eps * eps + du * du) ** (p / 2) - eps**p
+    return float(np.sum(meas * (a * je - fbar * ubar)))
 
 
 def _gradient_oracle(u, h, meas, fbar, beta1, b, ap, p, eps):
@@ -281,8 +297,8 @@ def test_derivatives_match_separate_gradient_and_hessian(p, alpha, epsilon, n, s
     u = np.array(free + [0.0])
     args = (u, grid.spacing, grid.cell_measures, source, *_coefficients(spec))
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _derivatives(*args)
-        want = (_gradient_oracle(*args), *_hessian_oracle(*args))
+        got = _evaluate(*args)
+        want = (_energy_oracle(*args), _gradient_oracle(*args), *_hessian_oracle(*args))
     for mine, oracle in zip(got, want):
         assert np.array_equal(mine, oracle)
         assert np.array_equal(np.signbit(mine), np.signbit(oracle))
@@ -396,6 +412,41 @@ def test_minimize_scaling_equivariance():
     scale = float(np.max(np.abs(3.0 * u1)))
     assert float(np.max(np.abs(u3 - 3.0 * u1))) <= 1e-8 * scale
     assert rep1.iterations == rep3.iterations
+
+
+@pytest.mark.parametrize(
+    "p, alpha, r, cells, extra",
+    [
+        (2.0, 0.25, 3.0, TRICHOTOMY_GRIDS, "roundoff checks"),
+        (3.0, 0.1, 1.25, (64, 128, 256), "rejected trials"),
+    ],
+)
+def test_minimize_evaluates_each_field_once(monkeypatch, p, alpha, r, cells, extra):
+    fields, norms = [], []
+    evaluate, dual_norm = variational._evaluate, variational._dual_norm
+
+    def recording_evaluate(u, *args):
+        fields.append(u.tobytes())
+        return evaluate(u, *args)
+
+    def counting_dual_norm(g, metric):
+        norms.append(g.size)
+        return dual_norm(g, metric)
+
+    monkeypatch.setattr(variational, "_evaluate", recording_evaluate)
+    monkeypatch.setattr(variational, "_dual_norm", counting_dual_norm)
+    params = ProblemParams(n=4, p=p, alpha=alpha, r=r, beta1=1.0, b_const=1.0)
+    report = experiment_regularity(params, cells, TRICHOTOMY_TOL)
+    assert report.statuses == ["converged"] * len(cells)
+    assert len(set(fields)) == len(fields)
+    # every solve evaluates its start and each accepted field, and takes
+    # one gradient norm at each; a roundoff check takes one more norm,
+    # a rejected line-search trial one more evaluation
+    accepted = len(cells) + sum(run.iterations for run in report.reports)
+    if extra == "roundoff checks":
+        assert len(norms) > accepted and len(fields) == accepted
+    else:
+        assert len(fields) > accepted and len(norms) == accepted
 
 
 def test_minimize_nonfinite_initial_energy():
@@ -688,6 +739,13 @@ def test_levelset_constant_stable_under_refinement(trichotomy_runs):
 
 
 # ---------------------------------------------------------------- experiments
+def test_tail_fit_of_ignores_level_zero():
+    assert tail_fit_of(DistributionProfile([0.0], [1.0], 1.0)) is None
+    ks = np.geomspace(1.0, 10.0, 20)
+    fit = tail_fit_of(DistributionProfile(np.append(0.0, ks), np.append(1.0, ks**-3.0), 1.0))
+    assert fit.slope == pytest.approx(-3.0, rel=1e-12)
+
+
 def test_experiment_tail_branch_structure():
     params = ProblemParams(n=4, p=2.0, alpha=0.25, r=1.75)
     rep = experiment_regularity(params, (64, 128), SolverTolerances(max_iters=1500))
