@@ -32,7 +32,8 @@ sweep
     and print one summary row per value.
 
 Exit codes: 0 success (checks passed), 1 a verification or convergence
-check failed, 2 malformed config/table or parameter domain error.
+check failed, 2 malformed config/table, parameter domain error or
+arithmetic that leaves the float range.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ import functools
 import math
 import os
 import sys
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, TextIO, Tuple,
+)
 
 from .counterexamples import (
     LOG_SQUARE_C2,
@@ -107,28 +110,9 @@ _PROBLEM_KEYS = {
 _GRID_KEYS = {"cells": True, "radius": False, "refinements": False}
 _SOLVER_KEYS = {"grad_tol": False, "max_iters": False, "epsilon": False}
 _OUTPUT_KEYS = {"directory": False}
-
-_SCHEMAS: Dict[str, _Schema] = {
-    "constants": {"lemma": (True, _LEMMA_KEYS)},
-    "exponents": {"problem": (True, _PROBLEM_KEYS)},
-    "verify": {"lemma": (True, _LEMMA_KEYS)},
-    "counterexample": {
-        "lemma": (False, {"C": False, "D": False}),
-        "output": (False, _OUTPUT_KEYS),
-    },
-    "minimize": {
-        "problem": (True, _PROBLEM_KEYS),
-        "grid": (True, _GRID_KEYS),
-        "solver": (False, _SOLVER_KEYS),
-        "output": (False, _OUTPUT_KEYS),
-    },
-    "analyze": {"problem": (True, _PROBLEM_KEYS)},
-    "sweep": {
-        "problem": (True, _PROBLEM_KEYS),
-        "grid": (True, _GRID_KEYS),
-        "solver": (False, _SOLVER_KEYS),
-    },
-}
+_LEMMA: _Schema = {"lemma": (True, _LEMMA_KEYS)}
+_PROBLEM: _Schema = {"problem": (True, _PROBLEM_KEYS)}
+_LADDER: _Schema = {**_PROBLEM, "grid": (True, _GRID_KEYS), "solver": (False, _SOLVER_KEYS)}
 
 
 def _load_config(path: str, schema: _Schema) -> configparser.ConfigParser:
@@ -183,6 +167,18 @@ def _read(
         ) from exc
 
 
+def _options(cfg: configparser.ConfigParser, section: str, **kinds: type) -> Dict[str, Any]:
+    """The keys of ``kinds`` that ``section`` sets, each read as its kind.
+
+    Keys the config leaves out are left to the library's own defaults.
+    """
+    return {
+        key: _read(cfg, section, key, kind)
+        for key, kind in kinds.items()
+        if cfg.has_option(section, key)
+    }
+
+
 # --------------------------------------------------------------------------
 # shared parsing and formatting
 
@@ -226,23 +222,16 @@ def load_psi_table(path: str) -> PsiTable:
 
 def _hypothesis_from(cfg: configparser.ConfigParser) -> DecayHypothesis:
     return DecayHypothesis(
-        c1=_read(cfg, "lemma", "c1"),
-        A=_read(cfg, "lemma", "A"),
-        B=_read(cfg, "lemma", "B"),
-        C=_read(cfg, "lemma", "C"),
-        D=_read(cfg, "lemma", "D"),
-        k0=_read(cfg, "lemma", "k0", float, 0.0),
+        **_options(cfg, "lemma", c1=float, A=float, B=float, C=float, D=float, k0=float)
     )
 
 
-def _params_from(cfg: configparser.ConfigParser, r_value: Optional[float] = None) -> ProblemParams:
+def _params_from(cfg: configparser.ConfigParser, **given: float) -> ProblemParams:
+    """The ``[problem]`` parameters; those in ``given`` are not read from the config."""
+    kinds = dict(n=int, p=float, alpha=float, r=float, beta1=float, b_const=float)
     return ProblemParams(
-        n=_read(cfg, "problem", "n", int),
-        p=_read(cfg, "problem", "p"),
-        alpha=_read(cfg, "problem", "alpha"),
-        r=_read(cfg, "problem", "r") if r_value is None else r_value,
-        beta1=_read(cfg, "problem", "beta1", float, 1.0),
-        b_const=_read(cfg, "problem", "b_const", float, 1.0),
+        **_options(cfg, "problem", **{k: v for k, v in kinds.items() if k not in given}),
+        **given,
     )
 
 
@@ -261,23 +250,16 @@ def _grid_ladder(cfg: configparser.ConfigParser) -> Tuple[int, ...]:
     return tuple(cells // 2 ** (refinements - 1 - i) for i in range(refinements))
 
 
-def _tolerances_from(cfg: configparser.ConfigParser) -> SolverTolerances:
-    return SolverTolerances(
-        grad_tol=_read(cfg, "solver", "grad_tol", float, 1e-6),
-        max_iters=_read(cfg, "solver", "max_iters", int, 100_000),
-    )
-
-
 def _experiment(cfg: configparser.ConfigParser, params: ProblemParams) -> ExperimentReport:
     """The grid-ladder experiment of ``params`` with the ``[grid]`` and
     ``[solver]`` sections."""
     return experiment_regularity(
         params,
         _grid_ladder(cfg),
-        _tolerances_from(cfg),
-        radius=_read(cfg, "grid", "radius", float, 1.0),
-        source_scale=_read(cfg, "problem", "source_scale", float, 1.0),
-        epsilon=_read(cfg, "solver", "epsilon", float, 1e-6),
+        SolverTolerances(**_options(cfg, "solver", grad_tol=float, max_iters=int)),
+        **_options(cfg, "grid", radius=float),
+        **_options(cfg, "problem", source_scale=float),
+        **_options(cfg, "solver", epsilon=float),
     )
 
 
@@ -297,32 +279,29 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _print_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join(_fmt(value) for value in row))
-
-
 def _print_kv(pairs: Iterable[Tuple[str, object]]) -> None:
     for key, value in pairs:
         print(f"{key}={_fmt(value)}")
 
 
 def _write_csv(
-    path: str, header: Sequence[str], rows: Iterable[Sequence[object]]
+    handle: TextIO, header: Sequence[str], rows: Iterable[Sequence[object]]
 ) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(value) for value in row))
+    """Write ``header`` and then each row as one comma-separated line."""
+    for row in (header, *rows):
+        handle.write(",".join(_fmt(value) for value in row) + "\n")
+
+
+def _save_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        _write_csv(handle, header, rows)
 
 
 # --------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_constants(cfg: configparser.ConfigParser) -> int:
+def _cmd_constants(cfg: configparser.ConfigParser, args: argparse.Namespace) -> int:
     hyp = _hypothesis_from(cfg)
     psi_at_k0 = _read(cfg, "lemma", "psi_at_k0", float, 0.0)
     case = classify(hyp)
@@ -330,14 +309,15 @@ def _cmd_constants(cfg: configparser.ConfigParser) -> int:
         env = EnvelopeConstants(case)
     else:
         env = envelope_constants(hyp, psi_at_k0)
-    _print_csv(
+    _write_csv(
+        sys.stdout,
         ("case", "lambda", "M", "c_bar", "tau", "L"),
         [(case.tag.value, env.lam, env.M, env.c_bar, env.tau, env.L)],
     )
     return 0
 
 
-def _cmd_exponents(cfg: configparser.ConfigParser) -> int:
+def _cmd_exponents(cfg: configparser.ConfigParser, args: argparse.Namespace) -> int:
     params = _params_from(cfg)
     exps = compute_exponents(params)
     header = (
@@ -351,13 +331,13 @@ def _cmd_exponents(cfg: configparser.ConfigParser) -> int:
         exps.hyp.A, exps.hyp.B, exps.hyp.C, exps.hyp.D, exps.s, exps.rho,
         exps.regime.value,
     )
-    _print_csv(header, [row])
+    _write_csv(sys.stdout, header, [row])
     return 0
 
 
-def _cmd_verify(cfg: configparser.ConfigParser, psi_path: str) -> int:
+def _cmd_verify(cfg: configparser.ConfigParser, args: argparse.Namespace) -> int:
     hyp = _hypothesis_from(cfg)
-    table = load_psi_table(psi_path)
+    table = load_psi_table(args.psi)
     psi_at_k0 = _read(cfg, "lemma", "psi_at_k0", float, table.values[0])
     case = classify(hyp)
     if case.tag is CaseTag.UNCLASSIFIED:
@@ -382,9 +362,9 @@ def _cmd_verify(cfg: configparser.ConfigParser, psi_path: str) -> int:
     return 0 if passed else 1
 
 
-def _cmd_counterexample(
-    cfg: configparser.ConfigParser, name: str, directory: str
-) -> int:
+def _cmd_counterexample(cfg: configparser.ConfigParser, args: argparse.Namespace) -> int:
+    name = args.name
+    directory = _output_directory(cfg)
     if name == "log_square":
         psi = log_square_psi()
         hyp = DecayHypothesis(
@@ -423,7 +403,7 @@ def _cmd_counterexample(
     table = PsiTable(knots, values, k0=knots[0])
     doubling = check_hypothesis(table, hyp, Doubling())
     path = os.path.join(directory, f"counterexample_{name}.csv")
-    _write_csv(path, ("k", "psi"), zip(knots, values))
+    _save_csv(path, ("k", "psi"), zip(knots, values))
     _print_kv(
         [
             ("name", name),
@@ -437,7 +417,7 @@ def _cmd_counterexample(
     return 0 if doubling.passed and cert is not None else 1
 
 
-def _cmd_minimize(cfg: configparser.ConfigParser) -> int:
+def _cmd_minimize(cfg: configparser.ConfigParser, args: argparse.Namespace) -> int:
     params = _params_from(cfg)
     report = _experiment(cfg, params)
     exps = compute_exponents(params)
@@ -445,10 +425,10 @@ def _cmd_minimize(cfg: configparser.ConfigParser) -> int:
 
     nodes = report.grids[-1].nodes
     field = report.final_fields[-1].nodal_values
-    _write_csv(os.path.join(directory, "field.csv"), ("radius", "u"), zip(nodes, field))
+    _save_csv(os.path.join(directory, "field.csv"), ("radius", "u"), zip(nodes, field))
 
     profile = report.profiles[-1]
-    _write_csv(
+    _save_csv(
         os.path.join(directory, "profile.csv"),
         ("k", "measure"),
         zip(profile.levels, profile.measures),
@@ -470,7 +450,7 @@ def _cmd_minimize(cfg: configparser.ConfigParser) -> int:
                 fit.slope if fit is not None else None,
             )
         )
-    _write_csv(
+    _save_csv(
         os.path.join(directory, "report.csv"),
         ("cells", "status", "iterations", "energy", "max_u", "predicted_s", "fitted_slope"),
         rows,
@@ -496,9 +476,9 @@ def _fit_pairs(fit: FitResult) -> List[Tuple[str, object]]:
     ]
 
 
-def _cmd_analyze(cfg: configparser.ConfigParser, profile_path: str) -> int:
+def _cmd_analyze(cfg: configparser.ConfigParser, args: argparse.Namespace) -> int:
     params = _params_from(cfg)
-    table = load_psi_table(profile_path)
+    table = load_psi_table(args.profile)
     profile = DistributionProfile(table.knots, table.values, table.values[0])
     summary = summarize(profile, compute_exponents(params))
     pairs: List[Tuple[str, object]] = [
@@ -521,16 +501,17 @@ def _cmd_analyze(cfg: configparser.ConfigParser, profile_path: str) -> int:
     return 0
 
 
-def _cmd_sweep(cfg: configparser.ConfigParser, r_values_raw: str) -> int:
-    tokens = [token.strip() for token in r_values_raw.split(",") if token.strip()]
+def _cmd_sweep(cfg: configparser.ConfigParser, args: argparse.Namespace) -> int:
+    tokens = [token.strip() for token in args.r_values.split(",") if token.strip()]
     if not tokens:
         raise ConfigError("--r-values must list at least one value")
     try:
         r_values = [float(token) for token in tokens]
     except ValueError as exc:
         raise ConfigError(f"--r-values must be comma-separated numbers: {exc}") from exc
-    # every r is validated before the first (costly) ladder runs
-    param_sets = [_params_from(cfg, r_value) for r_value in r_values]
+    # every r is validated before the first (costly) ladder runs; the
+    # config's own r is never read
+    param_sets = [_params_from(cfg, r=r_value) for r_value in r_values]
     rows = []
     for params in param_sets:
         report = _experiment(cfg, params)
@@ -542,12 +523,52 @@ def _cmd_sweep(cfg: configparser.ConfigParser, r_values_raw: str) -> int:
                 report.reports[-1].status,
             )
         )
-    _print_csv(("r", "regime", "max_u", "status"), rows)
+    _write_csv(sys.stdout, ("r", "regime", "max_u", "status"), rows)
     return 0
 
 
 # --------------------------------------------------------------------------
 # entry point
+
+
+class _Command(NamedTuple):
+    """One subcommand: its handler, help text, config schema and own option."""
+
+    handler: Callable[[configparser.ConfigParser, argparse.Namespace], int]
+    help: str
+    schema: _Schema
+    option: Optional[Tuple[str, str]] = None  # required (flag, help), if any
+
+
+_COMMANDS: Dict[str, _Command] = {
+    "constants": _Command(
+        _cmd_constants, "print envelope constants for a [lemma] hypothesis", _LEMMA
+    ),
+    "exponents": _Command(
+        _cmd_exponents, "print derived exponents for a [problem] parameter set", _PROBLEM
+    ),
+    "verify": _Command(
+        _cmd_verify, "check a tabulated psi against hypothesis and envelope", _LEMMA,
+        ("--psi", "CSV table with header k,psi"),
+    ),
+    "counterexample": _Command(
+        _cmd_counterexample, "emit a named counterexample table",
+        {"lemma": (False, {"C": False, "D": False}), "output": (False, _OUTPUT_KEYS)},
+        ("--name", "counterexample family: log_square or exp_power"),
+    ),
+    "minimize": _Command(
+        _cmd_minimize, "run the radial Newton-solver ladder and write CSV outputs",
+        {**_LADDER, "output": (False, _OUTPUT_KEYS)},
+    ),
+    "analyze": _Command(
+        _cmd_analyze, "fit a stored level profile per the predicted regime", _PROBLEM,
+        ("--profile", "CSV table with header k,measure"),
+    ),
+    "sweep": _Command(
+        _cmd_sweep, "run the ladder across several source integrabilities", _LADDER,
+        ("--r-values", "comma-separated list of r values"),
+    ),
+}
 
 
 @functools.cache
@@ -559,34 +580,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "tabulated verification, counterexamples and the radial minimizer.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        command = sub.add_parser(name, help=help_text)
-        command.add_argument(
+    for name, command in _COMMANDS.items():
+        command_parser = sub.add_parser(name, help=command.help)
+        command_parser.add_argument(
             "--config", required=True, help="path to the INI config file"
         )
-        return command
-
-    add("constants", "print envelope constants for a [lemma] hypothesis")
-    add("exponents", "print derived exponents for a [problem] parameter set")
-    verify = add("verify", "check a tabulated psi against hypothesis and envelope")
-    verify.add_argument("--psi", required=True, help="CSV table with header k,psi")
-    counter = add("counterexample", "emit a named counterexample table")
-    counter.add_argument(
-        "--name", required=True, help="counterexample family: log_square or exp_power"
-    )
-    add("minimize", "run the radial Newton-solver ladder and write CSV outputs")
-    analyze = add("analyze", "fit a stored level profile per the predicted regime")
-    analyze.add_argument(
-        "--profile", required=True, help="CSV table with header k,measure"
-    )
-    sweep = add("sweep", "run the ladder across several source integrabilities")
-    sweep.add_argument(
-        "--r-values",
-        dest="r_values",
-        required=True,
-        help="comma-separated list of r values",
-    )
+        if command.option is not None:
+            flag, help_text = command.option
+            command_parser.add_argument(flag, required=True, help=help_text)
     return parser
 
 
@@ -598,21 +599,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code) if exc.code is not None else 0
     try:
-        cfg = _load_config(args.config, _SCHEMAS[args.command])
-        if args.command == "constants":
-            return _cmd_constants(cfg)
-        if args.command == "exponents":
-            return _cmd_exponents(cfg)
-        if args.command == "verify":
-            return _cmd_verify(cfg, args.psi)
-        if args.command == "counterexample":
-            return _cmd_counterexample(cfg, args.name, _output_directory(cfg))
-        if args.command == "minimize":
-            return _cmd_minimize(cfg)
-        if args.command == "analyze":
-            return _cmd_analyze(cfg, args.profile)
-        return _cmd_sweep(cfg, args.r_values)
-    except (ConfigError, ValueError, OSError) as exc:
+        command = _COMMANDS[args.command]
+        return command.handler(_load_config(args.config, command.schema), args)
+    except (ConfigError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

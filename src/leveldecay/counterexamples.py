@@ -140,7 +140,9 @@ def k0_for_exp_power(d_exp: float, c_exp: float) -> float:
     k >= k0, with p = log2(2 c_exp).  g has a single interior minimum at
     k_c = (d_exp/(c_exp p))^{1/p}; when that minimum sits below 1 or g
     is nonnegative there the answer is exactly 1, otherwise the largest
-    root of g is bracketed and bisected to 1e-9.
+    root of g is bracketed and bisected to 1e-9, or to adjacent floats
+    where their spacing is wider.  Raises ``ValueError`` when bracketing
+    that root leaves the float range.
     """
     if not d_exp > 0.0:
         raise ValueError(f"d_exp must be positive, got {d_exp}")
@@ -155,10 +157,21 @@ def k0_for_exp_power(d_exp: float, c_exp: float) -> float:
     if k_crit <= 1.0 or g(k_crit) >= 0.0:
         return 1.0
     lo, hi = k_crit, max(2.0, 2.0 * k_crit)
-    while g(hi) < 0.0:
-        lo, hi = hi, 2.0 * hi
+    try:
+        while g(hi) < 0.0:
+            lo, hi = hi, 2.0 * hi
+        bracketed = math.isfinite(hi)  # g(inf) reads nan, which also ends the doubling
+    except OverflowError:  # k**p left the float range
+        bracketed = False
+    if not bracketed:
+        raise ValueError(
+            f"the root of g for d_exp={d_exp}, c_exp={c_exp} leaves the float range"
+        )
     while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
+        # equal to 0.5 * (lo + hi) for lo >= 1, without overflowing the sum
+        mid = 0.5 * lo + 0.5 * hi
+        if mid in (lo, hi):  # adjacent floats: the spacing here exceeds 1e-9
+            break
         if g(mid) < 0.0:
             lo = mid
         else:

@@ -157,7 +157,11 @@ def _regime(r: float, r_low: float, r_mid: float, r_high: float) -> Regime:
 
 
 def compute_exponents(params: ProblemParams) -> ExponentSet:
-    """Derive q, q*, the thresholds, s, rho, theta, (A, B, C, D) and the regime."""
+    """Derive q, q*, the thresholds, s, rho, theta, (A, B, C, D) and the regime.
+
+    Raises ``ValueError`` where a denominator rounds to 0: p (1 - alpha) - 1
+    at the alpha p' = 1 edge, or n - r (1 + alpha p) for rho.
+    """
     _require_strict(params)
     n, p, alpha, r = params.n, params.p, params.alpha, params.r
 
@@ -169,17 +173,30 @@ def compute_exponents(params: ProblemParams) -> ExponentSet:
     r_mid = holder_conjugate(p_star / (1.0 + alpha * p))
     r_high = n / p
 
+    # p (1 - alpha) - 1 > 0 is alpha p' < 1, but it may round to 0 at the edge
+    lift = p * (1.0 - alpha) - 1.0
+    if lift == 0.0:
+        raise ValueError(
+            f"p (1 - alpha) - 1 rounds to 0 for p={p}, alpha={alpha}: C is unbounded"
+        )
+
     A = alpha * p * q_star / (p - 1.0)
     D = q_star
     B = (p - 1.0 - q / r + q / n) * q_star / (q * (p - 1.0))
-    C = (q - 1.0 - q / r + q / n) * q_star / (q * (p * (1.0 - alpha) - 1.0))
+    C = (q - 1.0 - q / r + q / n) * q_star / (q * lift)
 
     s: float | None = None
     if r_high - r > THRESHOLD_TOL:
-        s = n * r * (p * (1.0 - alpha) - 1.0) / (n - r * p)
+        s = n * r * lift / (n - r * p)
     rho: float | None = None
     if r <= r_mid + THRESHOLD_TOL:
-        rho = n * r * (p * (1.0 - alpha) - 1.0) / (n - r * (1.0 + alpha * p))
+        rho_gap = n - r * (1.0 + alpha * p)
+        if rho_gap == 0.0:
+            raise ValueError(
+                f"r={r} rounds to n / (1 + alpha p) for n={n}, p={p},"
+                f" alpha={alpha}: rho is unbounded"
+            )
+        rho = n * r * lift / rho_gap
 
     return ExponentSet(
         q=q,
@@ -191,7 +208,7 @@ def compute_exponents(params: ProblemParams) -> ExponentSet:
         s=s,
         rho=rho,
         hyp=ExponentAssignment(A=A, B=B, C=C, D=D),
-        theta=(p * (1.0 - alpha) - 1.0) / (p - 1.0),
+        theta=lift / (p - 1.0),
         regime=_regime(r, r_low, r_mid, r_high),
     )
 

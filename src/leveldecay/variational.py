@@ -163,7 +163,10 @@ class DiscreteField:
 
 @dataclass(frozen=True)
 class FunctionalSpec:
-    """Problem parameters, cell-averaged source and gradient regularization."""
+    """Problem parameters, cell-averaged source and gradient regularization.
+
+    ``epsilon`` must be finite and nonnegative, with ``epsilon ** p`` a float.
+    """
 
     params: ProblemParams
     source: np.ndarray
@@ -180,6 +183,13 @@ class FunctionalSpec:
         object.__setattr__(self, "epsilon", float(self.epsilon))
         if not math.isfinite(self.epsilon) or self.epsilon < 0.0:
             raise ValueError("epsilon must be finite and nonnegative")
+        try:
+            self.epsilon ** self.params.p
+        except OverflowError as exc:
+            raise ValueError(
+                f"epsilon ** p leaves the float range for epsilon = {self.epsilon},"
+                f" p = {self.params.p}"
+            ) from exc
 
 
 def _check_nodes(u: np.ndarray, grid: RadialGrid) -> None:
@@ -426,7 +436,9 @@ def minimize(
     metric[1:] += 0.5 * meas[:-1]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        evaluation = _evaluate(u, *args)
+        # b_const near 0 can underflow (b + |u|)^(alpha p) to 0, so a and the energy read inf
+        with np.errstate(divide="ignore"):
+            evaluation = _evaluate(u, *args)
         if not math.isfinite(evaluation[0]):
             raise NonFiniteEnergyError(f"initial energy is {evaluation[0]}")
         trace = [evaluation[0]]

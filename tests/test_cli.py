@@ -76,6 +76,39 @@ def test_missing_section_rejected(tmp_path, capsys):
     assert "lemma" in capsys.readouterr().err
 
 
+# ---------------------------------------------------------------- subcommands
+# each subcommand's own required option, as its usage line shows it
+COMMAND_OPTIONS = {
+    "constants": "",
+    "exponents": "",
+    "verify": " --psi PSI",
+    "counterexample": " --name NAME",
+    "minimize": "",
+    "analyze": " --profile PROFILE",
+    "sweep": " --r-values R_VALUES",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_OPTIONS))
+def test_subcommand_without_options_prints_its_usage(capsys, name):
+    assert main([name]) == 2
+    usage = capsys.readouterr().err
+    assert usage.startswith(
+        f"usage: leveldecay {name} [-h] --config CONFIG{COMMAND_OPTIONS[name]}\n"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_OPTIONS))
+def test_subcommand_help_exits_zero(capsys, name):
+    assert main([name, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: leveldecay {name} ")
+
+
+def test_unknown_subcommand_rejected(capsys):
+    assert main(["bogus"]) == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- constants
 def test_constants_power_decay(tmp_path, capsys):
     cfg = write(tmp_path / "c.ini", LEMMA_POWER)
@@ -173,6 +206,29 @@ def test_exponents_invalid_alpha(tmp_path, capsys):
     cfg = write(tmp_path / "c.ini", "[problem]\nn = 4\np = 2.0\nalpha = 0.6\nr = 2.0\n")
     assert main(["exponents", "--config", cfg]) == 2
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "problem, message",
+    [
+        # p (1 - alpha) - 1 rounds to 0, so C divides by it
+        ("n = 3\np = 1.0000001\nalpha = 9.99999900583876e-08\nr = 2.0\n", "C is unbounded"),
+        # n - r (1 + alpha p) is 0, so rho divides by it
+        (
+            "n = 2\np = 1.0891160533213218\nalpha = 0.08182420326057739\n"
+            "r = 1.836351593478845\n",
+            "rho is unbounded",
+        ),
+    ],
+    ids=["C", "rho"],
+)
+def test_exponents_zero_denominator_exits_2(tmp_path, capsys, problem, message):
+    cfg = write(tmp_path / "c.ini", "[problem]\n" + problem)
+    assert main(["exponents", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- verify
@@ -356,6 +412,33 @@ def test_counterexample_unknown_name(tmp_path, capsys):
     assert main(["counterexample", "--config", cfg, "--name", "bogus"]) == 2
 
 
+def test_counterexample_exp_power_with_a_large_d_ends(tmp_path):
+    # D = 1e6 puts k0 where floats are wider apart than the bisection
+    # tolerance; D = 1e306 doubles the bracket to inf. A child process lets
+    # the test fail instead of hang.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = []
+    for d_exp in ("1e6", "1e306"):
+        cfg = write(
+            tmp_path / f"c{d_exp}.ini",
+            f"[lemma]\nC = 1.0001\nD = {d_exp}\n[output]\ndirectory = {tmp_path}\n",
+        )
+        argv = ["counterexample", "--config", cfg, "--name", "exp_power"]
+        runs.append(
+            subprocess.run(
+                [sys.executable, "-m", "leveldecay", *argv],
+                env=env, capture_output=True, text=True, timeout=10,
+            )
+        )
+    answer, beyond = runs
+    assert answer.returncode == 1 and answer.stderr == ""
+    assert float(parse_kv(answer.stdout)["k0"]) > 9e6
+    assert beyond.returncode == 2 and beyond.stdout == ""
+    assert beyond.stderr.startswith("error: ") and "float range" in beyond.stderr
+    assert beyond.stderr.count("\n") == 1
+
+
 # ---------------------------------------------------------------- minimize
 MINIMIZE_CFG = """
 [problem]
@@ -415,6 +498,37 @@ def test_minimize_zero_scale(tmp_path, capsys):
     profile = (d / "profile.csv").read_text("utf-8").splitlines()
     assert profile[0] == "k,measure"
     assert len(profile) == 1  # no positive level has positive measure
+
+
+@pytest.mark.parametrize("command", ["minimize", "sweep"])
+@pytest.mark.parametrize(
+    "problem, solver, message",
+    [
+        # eps**p overflows a Python float
+        ("n = 4\np = 2.0\nalpha = 0.25\n", "epsilon = 1e300\n", "epsilon ** p"),
+        ("n = 4\np = 3.0\nalpha = 0.1\n", "epsilon = 1e150\n", "epsilon ** p"),
+        # (b_const + |u|)^(alpha p) underflows to 0, so the energy reads inf
+        (
+            "n = 5\np = 4.0\nalpha = 0.7\nb_const = 1e-300\n",
+            "",
+            "initial energy is inf",
+        ),
+    ],
+    ids=["epsilon-1e300-p2", "epsilon-1e150-p3", "b_const-1e-300"],
+)
+def test_ladder_leaving_the_float_range_exits_2(
+    tmp_path, capsys, command, problem, solver, message
+):
+    cfg = write(
+        tmp_path / "c.ini",
+        f"[problem]\n{problem}r = 1.75\n[grid]\ncells = 32\n[solver]\n{solver}",
+    )
+    argv = [command, "--config", cfg] + (["--r-values", "1.75"] if command == "sweep" else [])
+    assert main(argv) == 2  # before minimize writes any output
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_minimize_invalid_cells(tmp_path, capsys):

@@ -4,10 +4,14 @@ Closed-form identities are checked to a few ulps; levels where the
 floats underflow are certified through the log-value fields.
 """
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from leveldecay import counterexamples
 from leveldecay.counterexamples import (
     LOG_SQUARE_C2,
     LOG_SQUARE_C2_ALIAS,
@@ -142,6 +146,41 @@ def test_k0_for_exp_power_large_d():
     # just below the root the inequality must fail (k0 is minimal)
     k_before = k0 * (1 - 1e-4)
     assert c_exp * k_before**p - d_exp * math.log(k_before) < 0
+
+
+_K0_CHILD = """
+from leveldecay.counterexamples import k0_for_exp_power
+for d_exp, c_exp in [(1e5, 1.0001), (1e6, 1.0001), (1e306, 1.0001), (1.7e308, 1.5)]:
+    try:
+        print(repr(k0_for_exp_power(d_exp, c_exp)))
+    except ValueError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_k0_for_exp_power_ends_past_the_float_spacing_and_range():
+    # past about 9e6 adjacent floats are more than 1e-9 apart, so a bisection
+    # to 1e-9 alone never ends, nor does one whose bracket doubled to inf; a
+    # child process lets the test fail instead of hang
+    src = os.path.dirname(os.path.dirname(counterexamples.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", _K0_CHILD], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert run.returncode == 0, run.stderr
+    below, above, doubled_to_inf, overflowed = run.stdout.splitlines()
+    assert float(below) == 1413098.0818289483  # what the bisection to 1e-9 returns
+    p = math.log2(2 * 1.0001)
+
+    def g(k):
+        return 1.0001 * k**p - 1e6 * math.log(k)
+
+    # the root is bracketed by adjacent floats
+    k0 = float(above)
+    assert g(k0) >= 0.0 > g(math.nextafter(k0, 0.0))
+    # (1e306, 1.0001) doubles the bracket to inf; (1.7e308, 1.5) overflows k**p
+    assert doubled_to_inf.startswith("ValueError") and "float range" in doubled_to_inf
+    assert overflowed.startswith("ValueError") and "float range" in overflowed
 
 
 # ---------------------------------------------------------------- violations, case ii

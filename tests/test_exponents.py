@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from leveldecay.exponents import (
     ProblemParams,
@@ -290,3 +290,90 @@ def test_s_is_defined_in_every_regime_below_n_over_p(n, pfrac, afrac, rfac):
         Regime.BELOW_RANGE, Regime.GRADIENT_MARCINKIEWICZ, Regime.SOBOLEV_W1P
     )
     assert (ex.s is not None) == below
+
+
+def _exponents_oracle(n, p, alpha, r):
+    """compute_exponents before its zero-denominator guards, field by field."""
+    if alpha <= 0.0 or p >= n:
+        raise ValueError("exponent calculus requires alpha > 0 and p < n")
+    q = n * p * (1.0 - alpha) / (n - alpha * p)
+    q_star = sobolev_conjugate(q, n)
+    p_star = sobolev_conjugate(p, n)
+    r_low = holder_conjugate(p_star * (1.0 - alpha))
+    r_mid = holder_conjugate(p_star / (1.0 + alpha * p))
+    r_high = n / p
+    A = alpha * p * q_star / (p - 1.0)
+    B = (p - 1.0 - q / r + q / n) * q_star / (q * (p - 1.0))
+    C = (q - 1.0 - q / r + q / n) * q_star / (q * (p * (1.0 - alpha) - 1.0))
+    s = rho = None
+    if r_high - r > 1e-12:
+        s = n * r * (p * (1.0 - alpha) - 1.0) / (n - r * p)
+    if r <= r_mid + 1e-12:
+        rho = n * r * (p * (1.0 - alpha) - 1.0) / (n - r * (1.0 + alpha * p))
+    theta = (p * (1.0 - alpha) - 1.0) / (p - 1.0)
+    return (q, q_star, p_star, r_low, r_mid, r_high, s, rho, A, B, C, q_star, theta)
+
+
+@st.composite
+def _params_near_the_alpha_edge(draw):
+    """n, p, alpha and r with p (1 - alpha) - 1 often within a few ulps of 0
+    and r often at n / (1 + alpha p), where the denominators vanish."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+    p = 1.0 + (n - 1.0) * draw(unit) ** draw(st.sampled_from([1, 8, 30]))
+    p = max(p, math.nextafter(1.0, 2.0))
+    alpha = (p - 1.0) / p * (1.0 - 10.0 ** draw(st.floats(min_value=-16.0, max_value=-0.01)))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        alpha = math.nextafter(alpha, 0.0)
+    r = draw(
+        st.one_of(
+            st.floats(min_value=1.0, max_value=4.0 * n, exclude_min=True),
+            st.just(n / (1.0 + alpha * p)),
+            st.just(n / p),
+        )
+    )
+    return n, p, alpha, r
+
+
+@given(_params_near_the_alpha_edge())
+@example((3, 1.0000001, 9.99999900583876e-08, 2.0))
+@example((2, 1.0891160533213218, 0.08182420326057739, 1.836351593478845))
+@settings(max_examples=400, deadline=None)
+def test_compute_exponents_returns_the_formulas_or_raises_value_error(values):
+    # every admitted parameter set either returns the unguarded formulas bit
+    # for bit or, where one of their denominators rounds to 0, raises ValueError
+    try:
+        params = ProblemParams(*values)
+    except ValueError:
+        return
+    try:
+        expected = _exponents_oracle(*values)
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="rounds to"):
+            compute_exponents(params)
+        return
+    except ValueError:  # outside the calculus's domain, as compute_exponents has it
+        with pytest.raises(ValueError):
+            compute_exponents(params)
+        return
+    ex = compute_exponents(params)
+    got = (
+        ex.q, ex.q_star, ex.p_star, ex.r_low, ex.r_mid, ex.r_high, ex.s, ex.rho,
+        ex.hyp.A, ex.hyp.B, ex.hyp.C, ex.hyp.D, ex.theta,
+    )
+    assert [None if v is None else v.hex() for v in got] == [
+        None if v is None else v.hex() for v in expected
+    ]
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ((3, 1.0000001, 9.99999900583876e-08, 2.0), "C is unbounded"),
+        ((2, 1.0891160533213218, 0.08182420326057739, 1.836351593478845), "rho is unbounded"),
+    ],
+    ids=["C", "rho"],
+)
+def test_compute_exponents_rejects_a_zero_denominator(params, message):
+    with pytest.raises(ValueError, match=message):
+        compute_exponents(ProblemParams(*params))

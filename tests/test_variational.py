@@ -185,6 +185,14 @@ def test_gradient_requires_epsilon_below_quadratic():
     energy_gradient(u, grid, ok)  # smooth j_eps: no error
 
 
+@pytest.mark.parametrize("p, epsilon", [(2.0, 1e300), (3.0, 1e150)])
+def test_functional_spec_rejects_an_epsilon_whose_power_overflows(p, epsilon):
+    grid = RadialGrid(n=4, radius=1.0, cells=8)
+    with pytest.raises(ValueError, match="epsilon \\*\\* p"):
+        make_spec(grid, p=p, alpha=0.1, epsilon=epsilon)
+    make_spec(grid, p=p, alpha=0.1, epsilon=1e100)  # epsilon ** p is a float
+
+
 # ---------------------------------------------------------------- hessian
 @given(
     p=st.sampled_from([1.5, 2.0, 3.0]),
