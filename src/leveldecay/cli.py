@@ -48,6 +48,8 @@ from typing import (
     Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, TextIO, Tuple,
 )
 
+import numpy as np
+
 from .counterexamples import (
     LOG_SQUARE_C2,
     exp_power_psi,
@@ -187,13 +189,17 @@ def load_psi_table(path: str) -> PsiTable:
     """Load a two-column CSV table with header ``k,psi`` or ``k,measure``.
 
     The second column name is cosmetic: verification tables carry psi
-    values, stored level profiles carry measures.  Raises
-    :class:`ConfigError` for malformed files and propagates the
-    ``PsiTable`` validation errors (unsorted knots, rising values).
+    values, stored level profiles carry measures.  All rows are parsed by
+    one ``np.loadtxt`` call, whose number parser rounds as Python's
+    ``float`` does; a table it rejects is read again row by row, to name
+    its first bad row or to take the forms only ``float`` reads, such as
+    ``1_000``.  Raises :class:`ConfigError` for malformed files and
+    propagates the ``PsiTable`` validation errors (unsorted knots, rising
+    values).
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle if line.strip()]
+            lines = [line for line in map(str.strip, handle) if line]
     except OSError as exc:
         raise ConfigError(f"cannot read table file {path}: {exc}") from exc
     if not lines:
@@ -204,20 +210,34 @@ def load_psi_table(path: str) -> PsiTable:
             f"unrecognized table header {lines[0]!r} in {path}"
             " (expected 'k,psi' or 'k,measure')"
         )
-    knots: List[float] = []
-    values: List[float] = []
-    for line in lines[1:]:
+    rows = lines[1:]
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else None
+    except ValueError:  # a ragged or non-numeric row
+        data = None
+    if data is None or data.shape[1] != 2:
+        data = _parse_rows(rows, path)  # names the first bad row
+    return PsiTable(data[:, 0], data[:, 1], k0=data[0, 0].item())
+
+
+def _parse_rows(lines: List[str], path: str) -> np.ndarray:
+    """The data rows as an (n, 2) array, parsed one row at a time.
+
+    Raises :class:`ConfigError` naming the first malformed or non-numeric
+    row, or for a table without data rows.
+    """
+    rows: List[Tuple[float, float]] = []
+    for line in lines:
         tokens = line.split(",")
         if len(tokens) != 2:
             raise ConfigError(f"malformed table row {line!r} in {path}")
         try:
-            knots.append(float(tokens[0]))
-            values.append(float(tokens[1]))
+            rows.append((float(tokens[0]), float(tokens[1])))
         except ValueError as exc:
             raise ConfigError(f"non-numeric table row {line!r} in {path}") from exc
-    if not knots:
+    if not rows:
         raise ConfigError(f"table file {path} has no data rows")
-    return PsiTable(knots, values, k0=knots[0])
+    return np.array(rows)
 
 
 def _hypothesis_from(cfg: configparser.ConfigParser) -> DecayHypothesis:

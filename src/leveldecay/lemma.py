@@ -30,9 +30,10 @@ lhs/rhs is ``exp(log lhs - log rhs)`` over numpy arrays of pairs, with
 the conventions 0/0 -> 0 and positive/0 -> +inf; a ratio beyond the
 float range reads ``inf``.  The all-pairs check broadcasts a block of
 whole knot rows as one rectangle, h along its columns and k along its
-rows; the logs of knots and values are taken once per knot of the
-block, and per pair only h - k, its log, a two-term log-sum and the
-ratio are computed.  Pairs keep the row-major order k = knots[i],
+rows.  The logs of knots and values, and the exponentials that the
+log-sum of the right-hand side splits into, are taken once per knot of
+the block; per pair only h - k, its log, one product with its log1p and
+the ratio are computed.  Pairs keep the row-major order k = knots[i],
 h = knots[j] for j > i, which is the order "first" refers to.
 """
 from __future__ import annotations
@@ -537,19 +538,39 @@ def _pair_scan(
     ``h`` and ``lhs`` are arrays of one shape, ``k`` and ``base`` of
     another, and the pairs are the broadcast of the two: 1-D arrays of
     equal length, or a row of h values against a column of k values.
-    The logs of h, lhs and base are taken before broadcasting; per pair
-    the kernel computes h - k, its log, the two-term log-sum of
-    A log h + B log base and C log base, and the ratio.  Entries with
-    h <= k read ratio 0.  Values must be nonnegative and h positive.
+    The log of the right-hand sum splits into a per-knot part and a pair
+    part, log(h^A base^B + base^C) = C log base + log1p(e^a e^b) with
+    a = A log h and b = (B - C) log base (b = -inf where base = 0), so
+    e^a and e^b are taken once per knot and a pair costs one product and
+    one log1p; with B = C, b = 0 and the log1p term is one per h.  Where
+    base = 0 the term C log base = -inf decides, so 0/0 reads 0 and
+    positive/0 reads inf.  Entries whose product overflows or reads
+    0 * inf are recomputed as :func:`_log_sum` (a + b, 0), which holds
+    over the whole float range.  Per pair the kernel then computes h - k,
+    its log and the ratio.  Entries with h <= k read ratio 0.  Values
+    must be nonnegative and h positive.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_base = np.log(base)
         log_lhs = np.log(lhs) - math.log(c1)
-        log_sum = _log_sum(A * np.log(h) + B * log_base, C * log_base)
+        a = A * np.log(h)
+        if B == C:  # e^b = 1, and where base = 0 the term C log base is -inf
+            b = 0.0
+        else:
+            b = (B - C) * log_base
+            b[base == 0.0] = -math.inf
+        log1p_term = np.multiply(np.exp(a), np.exp(b))
+        np.log1p(log1p_term, out=log1p_term)
+        if not math.isfinite(log1p_term.max()):
+            shape = log1p_term.shape
+            bad = ~np.isfinite(log1p_term)
+            gap = np.broadcast_to(a, shape)[bad] + np.broadcast_to(b, shape)[bad]
+            log1p_term[bad] = _log_sum(gap, 0.0)
         log_ratios = np.subtract(h, k)
         np.log(log_ratios, out=log_ratios)
         log_ratios *= D
-        log_ratios -= log_sum
+        log_ratios -= log1p_term
+        log_ratios -= C * log_base
         log_ratios += log_lhs
     return _scan(log_ratios)
 

@@ -108,7 +108,8 @@ class RadialGrid:
 
     ``nodes`` are the cells + 1 radii, ``cell_measures[i]`` is the exact
     volume of the shell between ``nodes[i]`` and ``nodes[i+1]``, and
-    ``spacing`` is the uniform radial step.
+    ``spacing`` is the uniform radial step.  A radius whose shell measures
+    leave the float range raises :class:`ValueError`.
     """
 
     __slots__ = ("n", "radius", "cells", "nodes", "cell_measures", "spacing")
@@ -125,7 +126,12 @@ class RadialGrid:
         self.radius = radius
         self.cells = int(cells)
         nodes = np.linspace(0.0, radius, self.cells + 1)
-        measures = unit_ball_volume(self.n) * (nodes[1:] ** self.n - nodes[:-1] ** self.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            measures = unit_ball_volume(self.n) * (nodes[1:] ** self.n - nodes[:-1] ** self.n)
+        if not np.all(np.isfinite(measures)):
+            raise ValueError(
+                f"shell measures leave the float range for radius = {radius}, n = {self.n}"
+            )
         nodes.setflags(write=False)
         measures.setflags(write=False)
         self.nodes = nodes
@@ -141,7 +147,7 @@ class DiscreteField:
 
     The field keeps the sorted level index of its last ``level_profile``
     grid, keyed on that grid's ``cell_measures`` array, so measuring it
-    again on the same grid skips the sort; the index costs 16 bytes per
+    again on the same grid skips building it; the index costs 16 bytes per
     cell while the field is alive.  Nodal values and cell measures are
     read-only, so a kept index cannot go stale.
     """
@@ -511,15 +517,19 @@ def level_profile(field: DiscreteField, grid: RadialGrid, levels) -> Distributio
 
     The field acts through its cell midpoint values, each weighted with
     the exact shell measure, consistent with the rest of the module.  The
-    midpoint values are sorted once per (field, ``grid.cell_measures``)
+    midpoint values are indexed once per (field, ``grid.cell_measures``)
     and the index is kept with the field (16 bytes per cell), so later
-    profiles of the field on that grid cost O(L log N) for L levels.
+    profiles of the field on that grid cost O(L log N) for L levels.  The
+    index sorts by |midpoint value|, except for a field whose |midpoint
+    values| already fall outward, as every radially decreasing one does:
+    there one comparison pass replaces the sort.
     """
     u = field.nodal_values
     _check_nodes(u, grid)
     kept = field._level_index
     if kept is None or kept[0] is not grid.cell_measures:
-        midvalues = np.abs(0.5 * (u[:-1] + u[1:]))
+        midvalues = u[:-1] + u[1:]
+        midvalues *= 0.5
         kept = (grid.cell_measures, _LevelIndex(midvalues, grid.cell_measures))
         field._level_index = kept
     return kept[1].profile(levels)

@@ -577,6 +577,19 @@ def test_minimize_report_fills_slopes_only_in_tail_regimes(tmp_path, capsys, r, 
         assert (row["fitted_slope"] != "") is tail
 
 
+def test_minimize_radius_beyond_float_range_exits_2(tmp_path, capsys, recwarn):
+    # nodes**4 overflows at radius 1e100: the grid names the radius, not the source
+    cfg = write(
+        tmp_path / "c.ini",
+        MINIMIZE_CFG.replace("radius = 1.0", "radius = 1e100") + f"\n[output]\ndirectory = {tmp_path}\n",
+    )
+    assert main(["minimize", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: shell measures leave the float range for radius = 1e+100, n = 4\n"
+    assert len(recwarn) == 0
+
+
 # ---------------------------------------------------------------- analyze
 def test_analyze_exact_power_profile(tmp_path, capsys):
     ks = np.geomspace(1.0, 1e3, 60)
@@ -700,6 +713,61 @@ def test_profile_round_trip_bit_identical(tmp_path, capsys):
     prof = rerun.profiles[-1]
     assert np.array_equal(np.asarray(table.knots), np.asarray(prof.levels))
     assert np.array_equal(np.asarray(table.values), np.asarray(prof.measures))
+
+
+def _row_parser(path):
+    """The row loop that load_psi_table ran before its one array conversion."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = [line.strip() for line in handle if line.strip()]
+    knots, values = [], []
+    for line in lines[1:]:
+        k, v = line.split(",")
+        knots.append(float(k))
+        values.append(float(v))
+    return np.array(knots), np.array(values)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "k,psi\n1.0,1.0\n",
+        "k,measure\n 1 , 2 \n\n2.5,+.5\n  \n3_000,1e-3\n1e300,5e-324\n",
+        "k, psi\r\n0,-0.0\r\n0.1,-0\r\n",
+        "k,psi\n" + "".join(f"{k!r},{v!r}\n" for k, v in zip(
+            np.geomspace(1.0, 1024.0, 1000).tolist(), (0.7 * np.geomspace(1.0, 1024.0, 1000) ** -1.3).tolist())),
+    ],
+    ids=["one-row", "spaces-blank-lines-forms", "crlf-signed-zeros", "repr-1000-rows"],
+)
+def test_load_psi_table_matches_row_parser_bitwise(tmp_path, text):
+    path = write(tmp_path / "psi.csv", text)
+    table = load_psi_table(path)
+    knots, values = _row_parser(path)
+    assert table.knots.tobytes() == knots.tobytes()
+    assert table.values.tobytes() == values.tobytes()
+    assert table.k0 == knots[0] and type(table.k0) is float
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "table file {path} is empty"),
+        ("\n  \n", "table file {path} is empty"),
+        ("k;psi\n1;2\n", "unrecognized table header 'k;psi' in {path} (expected 'k,psi' or 'k,measure')"),
+        ("k,psi\n", "table file {path} has no data rows"),
+        ("k,psi\n1,2\n3\n", "malformed table row '3' in {path}"),
+        ("k,psi\n1,2,3\n4,5,6\n", "malformed table row '1,2,3' in {path}"),
+        ("k,psi\n1\n2\n", "malformed table row '1' in {path}"),
+        ("k,psi\n1,0.5\n2,abc\n", "non-numeric table row '2,abc' in {path}"),
+        ("k,psi\n1,\n2,0.5\n", "non-numeric table row '1,' in {path}"),
+        ("k,psi\n1,0.5\n2,x\n3\n", "non-numeric table row '2,x' in {path}"),
+        ("k,psi\n1,0.5\n2\n3,x\n", "malformed table row '2' in {path}"),
+    ],
+)
+def test_load_psi_table_error_messages(tmp_path, text, message):
+    path = write(tmp_path / "psi.csv", text)
+    with pytest.raises(cli.ConfigError) as info:
+        load_psi_table(path)
+    assert str(info.value) == message.format(path=path)
 
 
 # ---------------------------------------------------------------- config values

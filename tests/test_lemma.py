@@ -776,6 +776,112 @@ def test_log_sum_matches_logaddexp():
     assert equal.sum() >= 100 and np.array_equal(got[equal], want[equal])
 
 
+# The pair kernel before the log-sum was split into per-knot exponentials:
+# one two-term log-sum of A log h + B log psi(k) and C log psi(k) per pair.
+def _pair_scan_oracle(h, k, lhs, base, c1, A, B, C, D):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_base = np.log(base)
+        log_lhs = np.log(lhs) - math.log(c1)
+        log_sum = lemma._log_sum(A * np.log(h) + B * log_base, C * log_base)
+        log_ratios = np.subtract(h, k)
+        np.log(log_ratios, out=log_ratios)
+        log_ratios *= D
+        log_ratios -= log_sum
+        log_ratios += log_lhs
+    return lemma._scan(log_ratios)
+
+
+def _psi(draw, size):
+    """psi values in {0} U [1e-300, 1]: zeros, tiny and moderate values."""
+    return np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(-300.0, 0.0).map(lambda e: 10.0**e)),
+        min_size=size, max_size=size,
+    )))
+
+
+@st.composite
+def _pair_kernel_inputs(draw):
+    """Kernel arguments in 1-D or row-against-column shape.
+
+    Knots span 1e-300 to 1e300 and A reaches 3, so h**A and
+    psi(k)**(B-C) leave the float range and the product of the two
+    exponentials reads inf or 0 * inf on some entries; B is drawn below,
+    equal to or above C.
+    """
+    exponents = st.floats(-300.0, 300.0)
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 30))
+        shape_h = shape_k = (size,)
+    else:
+        shape_h, shape_k = (1, draw(st.integers(1, 12))), (draw(st.integers(1, 8)), 1)
+    h = 10.0 ** np.array(draw(st.lists(exponents, min_size=shape_h[-1], max_size=shape_h[-1])))
+    k = 10.0 ** np.array(draw(st.lists(exponents, min_size=shape_k[0], max_size=shape_k[0])))
+    if shape_h == shape_k and draw(st.booleans()):
+        k = h * draw(st.floats(0.0, 0.999))  # every 1-D pair has h > k
+    A = draw(st.floats(0.05, 3.0))
+    C = draw(st.floats(0.05, 3.0))
+    B = draw(st.sampled_from([C, draw(st.floats(0.05, 3.0))]))
+    c1 = 10.0 ** draw(st.floats(-3.0, 3.0))
+    D = draw(st.floats(A + 0.05, 4.0))
+    lhs = _psi(draw, h.size).reshape(shape_h)
+    base = _psi(draw, k.size).reshape(shape_k)
+    return h.reshape(shape_h), k.reshape(shape_k), lhs, base, c1, A, B, C, D
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=_pair_kernel_inputs())
+@example(args=(np.array([1e300, 1e200, 2.0]), np.array([1.0, 1.0, 1.0]),
+               np.array([1e-300, 0.5, 1e-300]), np.array([0.0, 1e-300, 1e-300]),
+               1.0, 3.0, 0.5, 2.9, 3.5))
+def test_pair_scan_matches_per_pair_log_sum_oracle(args):
+    ratios, worst, over = lemma._pair_scan(*args)
+    want, want_worst, want_over = _pair_scan_oracle(*args)
+    assert ratios.shape == want.shape
+
+    def at_float_edge(r):
+        return np.any(np.isfinite(r) & (r > 0.0) & ((r < 1e-300) | (r > 1e300)))
+
+    # a ratio at the edge of the float range may round to 0 or inf on one side only
+    assume(not at_float_edge(want) and not at_float_edge(ratios))
+    # 0/0 -> 0, positive/0 -> inf and the h <= k entries read the same
+    assert np.array_equal(ratios == 0.0, want == 0.0)
+    assert np.array_equal(np.isinf(ratios), np.isinf(want))
+    finite = np.isfinite(want)
+    assert ratios[finite] == pytest.approx(want[finite], rel=1e-12, abs=0.0)
+    max_ratio = want.flat[want_worst]
+    assert ratios.flat[worst] == pytest.approx(max_ratio, rel=1e-12, abs=0.0)
+    # the worst entry is well defined unless a finite maximum is nearly tied
+    second = np.sort(want, axis=None)[-2] if want.size > 1 else 0.0
+    if not (0.0 < max_ratio < math.inf) or second < max_ratio * (1.0 - 1e-9):
+        assert worst == want_worst
+    if not np.any(np.abs(want - 1.0) <= 1e-9):
+        assert over == want_over
+
+
+def test_pair_scan_recomputes_overflowing_products():
+    # h**A = 1e900 and psi(k)**(B-C) = 1e720 leave the float range, and
+    # psi(k) = 0 gives the product inf * 0; each such entry is recomputed.
+    h = np.array([[2.0, 1e300]])
+    k = np.array([[1.0], [1.0], [1.0]])
+    lhs = np.array([[0.5, 1e-300]])
+    base = np.array([[1e-300], [0.0], [0.5]])
+    args = (h, k, lhs, base, 1.0, 3.0, 0.5, 2.9, 3.5)
+    ratios, worst, over = lemma._pair_scan(*args)
+    want, want_worst, want_over = _pair_scan_oracle(*args)
+    assert ratios[1].tolist() == [math.inf, math.inf]
+    assert np.all(np.isfinite(ratios[[0, 2]]))
+    assert ratios[[0, 2]] == pytest.approx(want[[0, 2]], rel=1e-12, abs=0.0)
+    assert (worst, over) == (want_worst, want_over) == (2, 0)
+    # h**A = 1e-750 reads 0 and psi(k)**(B-C) = 1e750 reads inf, but their
+    # product is 1: the recomputed log1p term must be log 2, not 0 or nan
+    args = (np.array([1e-250]), np.array([0.0]), np.array([1.0]), np.array([1e-300]),
+            1.0, 3.0, 0.1, 2.6, 3.5)
+    ratios, _, _ = lemma._pair_scan(*args)
+    assert ratios == pytest.approx(_pair_scan_oracle(*args)[0], rel=1e-12, abs=0.0)
+    # (h - k)**D / (2 psi(k)**C) = 1e-875 / (2e-780)
+    assert ratios[0] == pytest.approx(5e-96, rel=1e-11)
+
+
 def test_check_hypothesis_far_knot_has_finite_ratio():
     # h = 1e200 with A = 2 overflows h**A in linear space; the log-space
     # ratio psi(h) (h-k)^D / (h^A psi(k)^B + psi(k)^C) is about 1e200.

@@ -14,6 +14,7 @@ from scipy.integrate import quad
 
 from leveldecay.marcinkiewicz import (
     DistributionProfile,
+    _LevelIndex,
     InsufficientPointsError,
     distribution_function,
     exp_integrability_fit,
@@ -138,6 +139,49 @@ def test_distribution_matches_sorted_suffix_oracle_on_float_weights(drawn):
     measures, total = _oracle_distribution(values, w, levels)
     assert prof.measures == pytest.approx(measures, rel=1e-12, abs=0.0)
     assert prof.total_measure == pytest.approx(total, rel=1e-12, abs=0.0)
+
+
+def _argsort_index(values, weights):
+    """keys and prefix as the stable argsort of -|v| gives them, for any input order."""
+    neg = -np.abs(np.asarray(values, dtype=float))
+    order = np.argsort(neg, kind="stable")
+    prefix = np.zeros(neg.size + 1)
+    np.cumsum(np.asarray(weights, dtype=float)[order], out=prefix[1:])
+    return neg[order], prefix
+
+
+@st.composite
+def _ordered_fields(draw):
+    """|v| nonincreasing with ties, zeros and both signs; optionally a last value out of order."""
+    magnitudes = draw(st.lists(st.sampled_from([0.0, 1e-300, 0.5, 1.0, 3.0, 1e300]) | st.floats(0.0, 1e3),
+                               min_size=1, max_size=60))
+    magnitudes.sort(reverse=True)
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(magnitudes), max_size=len(magnitudes)))
+    values = [s * m for s, m in zip(signs, magnitudes)]
+    if len(values) > 1 and draw(st.booleans()):
+        values[-1] = -(abs(values[0]) + 1.0)  # out of order only at the last element
+    weights = draw(st.lists(st.floats(0.0, 1e3), min_size=len(values), max_size=len(values)))
+    return np.array(values), np.array(weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_ordered_fields())
+def test_level_index_ordered_input_matches_argsort_path_bitwise(drawn):
+    values, weights = drawn
+    index = _LevelIndex(values, weights)
+    keys, prefix = _argsort_index(values, weights)
+    # tobytes also tells -0.0 from 0.0
+    assert index.keys.tobytes() == keys.tobytes()
+    assert index.prefix.tobytes() == prefix.tobytes()
+
+
+def test_level_index_last_element_out_of_order_is_sorted():
+    values = np.array([5.0, -4.0, 4.0, 0.0, -0.0, 6.0])
+    weights = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+    index = _LevelIndex(values, weights)
+    assert index.keys.tolist() == [-6.0, -5.0, -4.0, -4.0, -0.0, -0.0]
+    assert index.prefix.tolist() == [0.0, 32.0, 33.0, 35.0, 39.0, 47.0, 63.0]
+    assert distribution_function(values, weights, [4.0, 6.0]).measures.tolist() == [39.0, 32.0]
 
 
 # ---------------------------------------------------------------- weak norm
