@@ -211,7 +211,7 @@ def load_psi_table(path: str) -> PsiTable:
             " (expected 'k,psi' or 'k,measure')"
         )
     rows = lines[1:]
-    try:
+    try:  # no rows at all go straight to the row loop, which names that error
         data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else None
     except ValueError:  # a ragged or non-numeric row
         data = None

@@ -3,7 +3,8 @@
 Analytic distribution functions of radial powers serve as the main
 oracle; scipy quadrature double-checks the closed-form cell averages,
 and the ascending-sort suffix-sum form of ``distribution_function`` is
-the oracle of its one-sort prefix-sum form.
+the oracle of its one-sort prefix-sum form, whose argsort path is in turn
+the oracle of the sort-free path for already ordered fields.
 """
 import math
 
