@@ -28,13 +28,25 @@ never overflow.  Envelope constants are computed as logs and returned
 as floats, ``inf`` when they exceed the float range.  Every check ratio
 lhs/rhs is ``exp(log lhs - log rhs)`` over numpy arrays of pairs, with
 the conventions 0/0 -> 0 and positive/0 -> +inf; a ratio beyond the
-float range reads ``inf``.  The all-pairs check broadcasts a block of
-whole knot rows as one rectangle, h along its columns and k along its
-rows.  The logs of knots and values, and the exponentials that the
-log-sum of the right-hand side splits into, are taken once per knot of
-the block; per pair only h - k, its log, one product with its log1p and
-the ratio are computed.  Pairs keep the row-major order k = knots[i],
-h = knots[j] for j > i, which is the order "first" refers to.
+float range reads ``inf``.  The logs of knots and values, and the
+exponentials that the log-sum of the right-hand side splits into, are
+taken once per knot; per pair only h - k, its log, one product with its
+log1p and the ratio are computed.  All-pairs pairs keep the row-major
+order k = knots[i], h = knots[j] for j > i, which is the order "first"
+refers to.
+
+A table whose pairs fill more than one batch is checked by an exact
+branch-and-bound.  Tiles of 16 x 16 knot pairs get an upper bound on
+their log ratios from the same kernel, fed the per-knot terms at the
+tile's extremes: the terms in h are monotone because A, D > 0 and the
+knots strictly increase, and those in k are taken at their smallest over
+the tile.  Only tiles whose bound reaches the largest ratio found, or
+exceeds 1 before the first violation, are computed pair by pair.  No
+skipped pair can beat the kept maximum: its bound lies below the
+maximum's log by more than a rounding margin, and the margin covers
+numpy's log, log1p and exp, which are not guaranteed to be monotone.
+Every pair at the maximum is computed, so the result is the
+enumeration's, bit for bit.
 """
 from __future__ import annotations
 
@@ -83,6 +95,14 @@ _MONOTONE_SLACK = 1e-12
 #: Pairs per array batch of AllKnotPairs and RandomPairs; bounds the
 #: memory of a check independently of the table size.
 _BATCH_PAIRS = 2**16
+
+#: Knots per run of the all-pairs branch-and-bound; a tile pairs the k
+#: of one run with the h of another, _TILE x _TILE pairs.
+_TILE = 16
+
+#: Rounding margin of the tile bounds, relative to the magnitudes of the
+#: terms of the log ratio (see _bound_margin).
+_BOUND_MARGIN = 1e-12
 
 _LOG2 = math.log(2.0)
 
@@ -441,7 +461,10 @@ class AllKnotPairs:
     ``values[None, s+1:]``, k and psi(k) the column vectors
     ``knots[s:e, None]`` and ``values[s:e, None]``.  Its pairs are the
     entries with h > k in row-major order; the kernel reads ratio 0 on
-    the others.
+    the others.  :func:`check_hypothesis` reads these batches only when
+    they are one, or when no tile bound can be trusted; otherwise it
+    prunes the pairs by their tile bounds (``_all_pairs_check``), with
+    the same result.
     """
 
     def pair_arrays(self, table: PsiTable) -> Iterator[Batch]:
@@ -530,25 +553,13 @@ def _log_sum(x: np.ndarray, y) -> np.ndarray:
     return top
 
 
-def _pair_scan(
-    h, k, lhs, base, c1: float, A: float, B: float, C: float, D: float
-) -> Tuple[np.ndarray, int, Optional[int]]:
-    """:func:`_scan` of lhs / (c1 (h^A base^B + base^C) / (h-k)^D) over pairs.
+def _knot_logs(h, lhs, base, c1: float, A: float, B: float, C: float):
+    """Per-knot terms of the pair kernel, taken once per knot.
 
-    ``h`` and ``lhs`` are arrays of one shape, ``k`` and ``base`` of
-    another, and the pairs are the broadcast of the two: 1-D arrays of
-    equal length, or a row of h values against a column of k values.
-    The log of the right-hand sum splits into a per-knot part and a pair
-    part, log(h^A base^B + base^C) = C log base + log1p(e^a e^b) with
-    a = A log h and b = (B - C) log base (b = -inf where base = 0), so
-    e^a and e^b are taken once per knot and a pair costs one product and
-    one log1p; with B = C, b = 0 and the log1p term is one per h.  Where
-    base = 0 the term C log base = -inf decides, so 0/0 reads 0 and
-    positive/0 reads inf.  Entries whose product overflows or reads
-    0 * inf are recomputed as :func:`_log_sum` (a + b, 0), which holds
-    over the whole float range.  Per pair the kernel then computes h - k,
-    its log and the ratio.  Entries with h <= k read ratio 0.  Values
-    must be nonnegative and h positive.
+    Returns ``(h_terms, k_terms)``: h_terms = (log lhs - log c1, a, e^a)
+    with a = A log h, one per h, and k_terms = (C log base, b, e^b) with
+    b = (B - C) log base (b = -inf where base = 0), one per k.  With
+    B = C, b is the scalar 0.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_base = np.log(base)
@@ -559,7 +570,25 @@ def _pair_scan(
         else:
             b = (B - C) * log_base
             b[base == 0.0] = -math.inf
-        log1p_term = np.multiply(np.exp(a), np.exp(b))
+        return (log_lhs, a, np.exp(a)), (C * log_base, b, np.exp(b))
+
+
+def _pair_logs(h, k, h_terms, k_terms, D: float) -> np.ndarray:
+    """Log ratios log lhs - log(c1 (h^A base^B + base^C) / (h-k)^D).
+
+    ``h`` and ``h_terms`` (see :func:`_knot_logs`) broadcast against ``k``
+    and ``k_terms``.  The log of the right-hand sum splits into
+    C log base + log1p(e^a e^b), so a pair costs one product and one
+    log1p; with B = C the log1p term is one per h.  Entries whose product
+    overflows or reads 0 * inf are recomputed as :func:`_log_sum`
+    (a + b, 0), which holds over the whole float range.  Per pair the
+    kernel then computes h - k, its log and the sum of the terms; an
+    entry with h <= k reads NaN or -inf.
+    """
+    log_lhs, a, ea = h_terms
+    c_log_base, b, eb = k_terms
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log1p_term = np.multiply(ea, eb)
         np.log1p(log1p_term, out=log1p_term)
         if not math.isfinite(log1p_term.max()):
             shape = log1p_term.shape
@@ -570,9 +599,26 @@ def _pair_scan(
         np.log(log_ratios, out=log_ratios)
         log_ratios *= D
         log_ratios -= log1p_term
-        log_ratios -= C * log_base
+        log_ratios -= c_log_base
         log_ratios += log_lhs
-    return _scan(log_ratios)
+    return log_ratios
+
+
+def _pair_scan(
+    h, k, lhs, base, c1: float, A: float, B: float, C: float, D: float
+) -> Tuple[np.ndarray, int, Optional[int]]:
+    """:func:`_scan` of lhs / (c1 (h^A base^B + base^C) / (h-k)^D) over pairs.
+
+    ``h`` and ``lhs`` are arrays of one shape, ``k`` and ``base`` of
+    another, and the pairs are the broadcast of the two: 1-D arrays of
+    equal length, or a row of h values against a column of k values.
+    The per-knot terms come from :func:`_knot_logs` and the log ratios
+    from :func:`_pair_logs`.  Where base = 0 the term C log base = -inf
+    decides, so 0/0 reads 0 and positive/0 reads inf.  Entries with
+    h <= k read ratio 0.  Values must be nonnegative and h positive.
+    """
+    h_terms, k_terms = _knot_logs(h, lhs, base, c1, A, B, C)
+    return _scan(_pair_logs(h, k, h_terms, k_terms, D))
 
 
 @dataclass(frozen=True)
@@ -582,7 +628,10 @@ class CheckReport:
     ``max_ratio`` is the maximum of lhs/rhs over pairs (<= 1 means the
     inequality holds on the sample); ``worst_pair`` is the first (h, k)
     attaining it; ``first_violation`` is the first sampled pair with
-    ratio > 1, or None.
+    ratio > 1, or None.  ``pairs_evaluated`` is the number of pairs whose
+    ratio was computed exactly: ``pair_count`` for a strategy's batches,
+    fewer where :class:`AllKnotPairs` prunes tiles whose bound cannot
+    reach the result.
     """
 
     max_ratio: float
@@ -590,12 +639,183 @@ class CheckReport:
     worst_pair: Tuple[float, float]
     pair_count: int
     first_violation: Optional[Tuple[float, float]]
+    pairs_evaluated: Optional[int] = None
 
 
 def _pair_at(h, k, shape, flat: int) -> Tuple[float, float]:
     """The pair (h, k) at a flat index of the broadcast batch shape."""
     at = np.unravel_index(flat, shape)
     return float(np.broadcast_to(h, shape)[at]), float(np.broadcast_to(k, shape)[at])
+
+
+def _take(terms, index):
+    """Per-knot terms at ``index``; a scalar term is the same for every knot."""
+    return tuple(t[index] if np.ndim(t) else t for t in terms)
+
+
+def _abs_max(x) -> float:
+    """Largest finite |x|, or 0.0 where no entry is finite."""
+    x = np.abs(x)
+    return float(np.max(x, initial=0.0, where=np.isfinite(x)))
+
+
+def _bound_margin(knots, h_terms, k_terms, D: float) -> float:
+    """Rounding margin of the tile bounds of :func:`_all_pairs_check`.
+
+    A bound and a pair's log ratio add the same four terms in the same
+    order, each term of the bound on the safe side of the pair's, except
+    that numpy's log, exp and log1p are not guaranteed to be monotone.
+    Their rounding, a few ulps of each term, stays below 1e-12 times the
+    sum of the largest magnitudes that the terms take on the table plus
+    one: D |log(h - k)| (h - k lies between the smallest knot gap and
+    the span), the log1p term (at most max(a + b, 0) + log 2),
+    C |log psi(k)| and |log psi(h) - log c1|.  The margin is inf, and
+    nothing is pruned, where a term leaves the float range.
+    """
+    log_lhs, a, _ = h_terms
+    c_log_base, b, _ = k_terms
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_gap = max(abs(math.log(np.diff(knots).min())), abs(math.log(knots[-1] - knots[0])))
+        total = (
+            1.0 + D * log_gap + max(np.max(a) + np.max(b), 0.0) + _LOG2
+            + _abs_max(c_log_base) + _abs_max(log_lhs)
+        )
+    return _BOUND_MARGIN * total if total < math.inf else math.inf
+
+
+def _all_pairs_check(table: PsiTable, hyp: DecayHypothesis) -> Optional[CheckReport]:
+    """Exact branch-and-bound over the pairs of :class:`AllKnotPairs`.
+
+    The knots are cut into runs of ``_TILE``; a tile holds the pairs with
+    k in one run and h in another.  Over a tile the terms of the log
+    ratio are monotone in h, because A, D > 0 and the knots strictly
+    increase, and taken at their extremes in k: D log(h - k) is largest
+    at the last h and the first k, -log1p(e^a e^b) at the first h and the
+    smallest e^b (a + b at the smallest b), and -C log psi(k) at the
+    smallest C log psi(k); log psi(h) - log c1 is taken at its largest
+    over the run (values may rise by the table's slack).
+    :func:`_pair_logs` fed these tile-extreme per-knot terms bounds every
+    log ratio of the tile from above, up to a rounding margin
+    (:func:`_bound_margin`).  A tile whose psi(h) are all 0 reads 0 on
+    every pair and is skipped.
+
+    The tile of the largest bound is evaluated first; its largest ratio
+    is a level the maximum reaches.  Then every tile whose bound reaches
+    log of that level less the margin is evaluated: no skipped pair can
+    reach the maximum, so every pair attaining it is evaluated, and the
+    first of them in row-major order is kept.  If the maximum is above
+    1, the other tiles whose bound reaches -margin are evaluated in the
+    order of their runs of k, up to the run that holds the first
+    violation found.  Bounds go in blocks of about ``_BATCH_PAIRS``
+    tiles and ratios in batches of about ``_BATCH_PAIRS`` pairs, so
+    memory stays linear in the table size.  Returns None, so that every
+    pair is checked, where the margin is inf.
+    """
+    knots, values = table.knots, table.values
+    n = knots.size
+    D = hyp.D
+    h_terms, k_terms = _knot_logs(knots, values, values, hyp.c1, hyp.A, hyp.B, hyp.C)
+    margin = _bound_margin(knots, h_terms, k_terms, D)
+    if margin == math.inf:
+        return None
+    tiles = -(-n // _TILE)
+    first = np.arange(tiles) * _TILE
+    last = np.minimum(first + _TILE - 1, n - 1)
+    run = np.arange(_TILE)
+
+    def runs(x, pad: float):
+        """A per-knot term as (tiles, _TILE) runs, padded with ``pad``."""
+        if np.ndim(x) == 0:
+            return x
+        return np.concatenate([x, np.full(tiles * _TILE - n, pad)]).reshape(tiles, _TILE)
+
+    # padding reads h = -inf and k = +inf, so h - k = -inf gives ratio 0
+    h_runs = [runs(x, p) for x, p in zip((knots, *h_terms), (-math.inf, -math.inf, 0.0, 1.0))]
+    k_runs = [runs(x, p) for x, p in zip((knots, *k_terms), (math.inf, 0.0, 0.0, 1.0))]
+    log_lhs, a, ea = h_terms
+    h_tile = (np.maximum.reduceat(log_lhs, first), a[first], ea[first])
+    k_tile = tuple(np.minimum.reduceat(x, first) if np.ndim(x) else x for x in k_terms)
+    zero = h_tile[0] == -math.inf
+
+    max_ratio, worst_key, violation, evaluated = 0.0, 1, None, 0
+
+    def evaluate(g, t) -> None:
+        """Ratios of the tiles (k in run g[c], h in run t[c]), in one batch.
+
+        Pairs are keyed row * n + column.  The tiles come sorted by g,
+        so the first entry of the batch where a condition holds lies in
+        the first run of k to hold one, and that run's tiles, read row
+        by row, give the first key.
+        """
+        nonlocal max_ratio, worst_key, violation, evaluated
+        rows, cols = first[g, None] + run, first[t, None] + run
+        evaluated += int(np.maximum(last[t, None] - np.maximum(cols[:, :1], rows + 1) + 1, 0).sum())
+        h, *h_side = _take(h_runs, (t, None))
+        k, *k_side = _take(k_runs, (g, slice(None), None))
+        ratios, worst, over = _scan(_pair_logs(h, k, h_side, k_side, D))
+
+        def first_key(flat: int, holds) -> int:
+            lo = flat // _TILE**2
+            hi = int(np.searchsorted(g, g[lo], "right"))
+            i, tile, j = np.unravel_index(
+                np.argmax(holds(ratios[lo:hi]).transpose(1, 0, 2)), (_TILE, hi - lo, _TILE)
+            )
+            return int(rows[lo + tile, i] * n + cols[lo + tile, j])
+
+        top = float(ratios.flat[worst])
+        if top > max_ratio or top == max_ratio > 0.0:
+            key = first_key(worst, lambda r: r == top)
+            if top > max_ratio or key < worst_key:
+                max_ratio, worst_key = top, key
+        if over is not None:
+            key = first_key(over, lambda r: r > 1.0)
+            violation = key if violation is None else min(violation, key)
+
+    batch = max(1, _BATCH_PAIRS // _TILE**2)
+    block = max(1, _BATCH_PAIRS // tiles)
+    for g0 in range(0, tiles, block):
+        groups = np.arange(g0, min(g0 + block, tiles))
+        found = violation
+        bound = _pair_logs(
+            knots[last], knots[first[groups], None], h_tile,
+            _take(k_tile, (groups, None)), D,
+        )
+        bound[:, zero] = -math.inf
+        bound[np.isnan(bound)] = math.inf  # a bound that is not a number prunes nothing
+        bound[last <= first[groups, None]] = -math.inf  # no pair h > k
+        top = int(np.argmax(bound))
+        if bound.flat[top] == -math.inf:
+            continue
+        evaluate(groups[[top // tiles]], np.array([top % tiles]))
+        bound.flat[top] = -math.inf
+        live = bound > -math.inf
+        keep = live & (bound >= _log(math.nextafter(max_ratio, 0.0)) - margin)
+        g, t = np.divmod(np.flatnonzero(keep), tiles)
+        for start in range(0, g.size, batch):
+            evaluate(g0 + g[start:start + batch], t[start:start + batch])
+        if found is not None or max_ratio <= 1.0:
+            continue
+        g, t = np.divmod(np.flatnonzero(live & ~keep & (bound >= -margin)), tiles)
+        g += g0
+        start, step = 0, 1
+        while True:
+            # later runs of k hold only later pairs than the first violation found
+            stop = g.size if violation is None else np.searchsorted(g, violation // n // _TILE, "right")
+            if start >= stop:
+                break
+            evaluate(g[start:min(start + step, stop)], t[start:min(start + step, stop)])
+            start, step = start + step, min(2 * step, batch)
+    row, col = divmod(worst_key, n)
+    return CheckReport(
+        max_ratio=max_ratio,
+        passed=max_ratio <= 1.0,
+        worst_pair=(knots[col].item(), knots[row].item()),
+        pair_count=n * (n - 1) // 2,
+        first_violation=None if violation is None else (
+            knots[violation % n].item(), knots[violation // n].item()
+        ),
+        pairs_evaluated=evaluated,
+    )
 
 
 def check_hypothesis(
@@ -614,11 +834,26 @@ def check_hypothesis(
     float range as +inf.  Raises :class:`ValueError`
     when the table lies below the hypothesis origin or the strategy
     produces no pairs.
+
+    :class:`AllKnotPairs` on more pairs than one batch holds goes through
+    an exact branch-and-bound (``_all_pairs_check``): ``max_ratio``,
+    ``worst_pair``, ``first_violation`` and ``pair_count`` are those of
+    the full enumeration, bit for bit, while ``pairs_evaluated`` counts
+    only the pairs of the tiles whose bound could reach the maximum, or
+    exceed 1 before the first violation.  A tile is skipped only when
+    its bound, an upper bound on each of its log ratios, lies below the
+    log of the maximum found by more than a rounding margin; the margin
+    covers numpy's log, log1p and exp, which are not guaranteed to be
+    monotone, so no skipped pair can equal or beat the kept maximum.
     """
     if table.k0 < hyp.k0:
         raise ValueError(
             f"table origin k0={table.k0} lies below hypothesis k0={hyp.k0}"
         )
+    if isinstance(strategy, AllKnotPairs) and len(table) * (len(table) - 1) // 2 > _BATCH_PAIRS:
+        report = _all_pairs_check(table, hyp)
+        if report is not None:
+            return report
     max_ratio = -math.inf
     worst_pair: Optional[Tuple[float, float]] = None
     first_violation: Optional[Tuple[float, float]] = None
@@ -644,6 +879,7 @@ def check_hypothesis(
         worst_pair=worst_pair,
         pair_count=count,
         first_violation=first_violation,
+        pairs_evaluated=count,
     )
 
 

@@ -59,11 +59,22 @@ class InsufficientPointsError(ValueError):
 
 
 def unit_ball_volume(n: int) -> float:
-    """Volume of the unit ball in ``n`` dimensions, pi^{n/2} / Gamma(n/2 + 1)."""
+    """Volume of the unit ball in ``n`` dimensions, pi^{n/2} / Gamma(n/2 + 1).
+
+    From n = 342 on, where Gamma(n/2 + 1) overflows, the volume is
+    computed through ``math.lgamma``; a dimension whose volume underflows
+    to 0 raises :class:`ValueError`.
+    """
     if n != int(n) or n < 1:
         raise ValueError("dimension must be a positive integer")
     n = int(n)
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    try:
+        return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    except OverflowError:
+        volume = math.exp(n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0 + 1.0))
+    if volume == 0.0:
+        raise ValueError(f"the unit ball volume underflows to 0 in dimension n = {n}")
+    return volume
 
 
 # --------------------------------------------------------------------------

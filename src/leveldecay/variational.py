@@ -108,8 +108,9 @@ class RadialGrid:
 
     ``nodes`` are the cells + 1 radii, ``cell_measures[i]`` is the exact
     volume of the shell between ``nodes[i]`` and ``nodes[i+1]``, and
-    ``spacing`` is the uniform radial step.  A radius whose shell measures
-    leave the float range raises :class:`ValueError`.
+    ``spacing`` is the uniform radial step.  A radius and dimension whose
+    shell measures leave the float range, overflowing or underflowing to
+    0, raise :class:`ValueError`.
     """
 
     __slots__ = ("n", "radius", "cells", "nodes", "cell_measures", "spacing")
@@ -127,8 +128,8 @@ class RadialGrid:
         self.cells = int(cells)
         nodes = np.linspace(0.0, radius, self.cells + 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            measures = unit_ball_volume(self.n) * (nodes[1:] ** self.n - nodes[:-1] ** self.n)
-        if not np.all(np.isfinite(measures)):
+            measures = unit_ball_volume(self.n) * np.diff(nodes ** self.n)
+        if not np.all((measures > 0.0) & (measures < math.inf)):
             raise ValueError(
                 f"shell measures leave the float range for radius = {radius}, n = {self.n}"
             )

@@ -590,6 +590,27 @@ def test_minimize_radius_beyond_float_range_exits_2(tmp_path, capsys, recwarn):
     assert len(recwarn) == 0
 
 
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        # the ball's volume is 3.4e-276, but (r/R)**400 underflows in the inner shells
+        (400, "shell measures leave the float range for radius = 1.0, n = 400"),
+        (600, "the unit ball volume underflows to 0 in dimension n = 600"),
+    ],
+)
+def test_minimize_in_high_dimension_names_the_cause(tmp_path, capsys, recwarn, n, message):
+    cfg = write(
+        tmp_path / "c.ini",
+        MINIMIZE_CFG.replace("n = 4", f"n = {n}") + f"\n[output]\ndirectory = {tmp_path}\n",
+    )
+    assert main(["minimize", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert len(recwarn) == 0
+    assert not (tmp_path / "report.csv").exists()
+
+
 # ---------------------------------------------------------------- analyze
 def test_analyze_exact_power_profile(tmp_path, capsys):
     ks = np.geomspace(1.0, 1e3, 60)

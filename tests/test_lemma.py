@@ -8,6 +8,8 @@ are compared with the scalar loops they replaced.
 import math
 import random
 from bisect import bisect_right
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -748,11 +750,170 @@ def test_check_hypothesis_all_zero_table_reads_zero():
     knots = [1.0 + 0.5 * j for j in range(600)]
     table = PsiTable(knots, [0.0] * len(knots), k0=1.0)
     hyp = DecayHypothesis(1.0, A=1.0, B=0.5, C=2.0, D=3.0, k0=1.0)
-    rep = check_hypothesis(table, hyp, AllKnotPairs())
+    rep = _same_as_enumeration(table, hyp)
     assert rep.max_ratio == 0.0 and rep.passed
     assert rep.worst_pair == (knots[1], knots[0])
     assert rep.first_violation is None
     assert rep.pair_count == 600 * 599 // 2
+    assert rep.pairs_evaluated == 0  # every psi(h) is 0: every ratio is known to be 0
+
+
+# ---------------------------------------------------------------- branch-and-bound
+# check_hypothesis prunes AllKnotPairs with tile bounds once the pairs
+# exceed one batch; the batches of AllKnotPairs checked one by one, as
+# before the pruning, are its oracle.  Every field is compared with ==.
+class _Enumerated:
+    """AllKnotPairs' batches under another strategy, so nothing is pruned."""
+
+    def pair_arrays(self, table):
+        return AllKnotPairs().pair_arrays(table)
+
+
+def _same_as_enumeration(table, hyp, batch_pairs=None):
+    """The pruned report, after checking that it agrees with the oracle."""
+    want = check_hypothesis(table, hyp, _Enumerated())
+    with mock.patch.object(lemma, "_BATCH_PAIRS", batch_pairs or lemma._BATCH_PAIRS):
+        got = check_hypothesis(table, hyp, AllKnotPairs())
+    assert replace(got, pairs_evaluated=None) == replace(want, pairs_evaluated=None)
+    assert want.pairs_evaluated == want.pair_count == len(table) * (len(table) - 1) // 2
+    assert 0 <= got.pairs_evaluated <= got.pair_count
+    return got
+
+
+@st.composite
+def _pruning_inputs(draw):
+    """Nonincreasing tables on knots from 1e-300 to 1e300, zero tails included.
+
+    N = 2 and 3 and sizes that are not a multiple of the tile width are
+    drawn; knots come geometric, linear or at random decades, values span
+    1e-300 to 1e300, with flat runs and rises within the table's 1e-12
+    slack.  ``scale`` puts c1 at that multiple of the largest ratio at
+    c1 = 1, so that the maximum sits near 1.
+    """
+    size = draw(st.one_of(st.sampled_from([2, 3, 15, 16, 17, 33]), st.integers(2, 70)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    low, high = sorted(rng.uniform(-300.0, 300.0, 2))
+    knots = {
+        "geometric": np.geomspace(10.0**low, 10.0**high, size),
+        "linear": np.linspace(10.0**low, 10.0**high, size),
+        "random": 10.0 ** np.sort(rng.uniform(-300.0, 300.0, size)),
+    }[draw(st.sampled_from(["geometric", "linear", "random"]))]
+    if draw(st.booleans()):
+        knots[0] = 0.0
+    assume(np.all(np.diff(knots) > 0.0))
+    # steps: flat, a rise within the slack (not among subnormals, where the
+    # slack rounds to 0), or a drop of up to 30 decades
+    steps = rng.choice([1.0, 1.0 + 5e-13, 0.0], size)
+    drops = steps == 0.0
+    steps[drops] = 10.0 ** -rng.uniform(0.0, 30.0, np.count_nonzero(drops))
+    values = [10.0 ** rng.uniform(-300.0, 300.0)]
+    for step in steps[1:]:
+        values.append(values[-1] * step if step < 1.0 or values[-1] > 1e-300 else values[-1])
+    values = np.array(values)
+    values[size - draw(st.integers(0, size)):] = 0.0
+    A, C = rng.uniform(0.05, 3.0, 2)
+    hyp = DecayHypothesis(
+        c1=1.0, A=A, B=draw(st.sampled_from([C, rng.uniform(0.05, 3.0)])), C=C,
+        D=A + rng.uniform(0.05, 3.0), k0=0.0,
+    )
+    scale = draw(st.sampled_from([None, 0.5, 1.0, 2.0]))
+    return PsiTable(knots, values, k0=0.0), hyp, scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_pruning_inputs(), batch_pairs=st.sampled_from([1, 5, 64, 1000]))
+def test_pruned_all_pairs_matches_enumeration(drawn, batch_pairs):
+    table, hyp, scale = drawn
+    top = check_hypothesis(table, hyp, _Enumerated()).max_ratio
+    if scale is not None and 1e-300 < top < 1e300:
+        hyp = replace(hyp, c1=top * scale)
+    _same_as_enumeration(table, hyp, batch_pairs)
+
+
+def _flat(n, bump=None):
+    """psi = 1 on n knots, with A and D so small that every ratio rounds alike.
+
+    h^A rounds to 1 and D log(h - k) to nothing beside log 2, so with
+    B = C = 1 and c1 = 1/2 every pair reads exactly ratio 1, or psi(h)
+    where the values at the given ``bump`` knots are raised.
+    """
+    values = np.ones(n)
+    for at, value in (bump or {}).items():
+        values[at:] = value
+    table = PsiTable(np.linspace(1.0, 100.0, n), values, k0=1.0)
+    return table, DecayHypothesis(0.5, A=1e-18, B=1.0, C=1.0, D=2e-18, k0=1.0)
+
+
+@pytest.mark.parametrize("n, batch_pairs", [(400, None), (45, 1), (45, 300)])
+def test_pruned_all_pairs_tied_maxima_keep_the_first_pair(n, batch_pairs):
+    table, hyp = _flat(n)
+    rep = _same_as_enumeration(table, hyp, batch_pairs)
+    assert rep.max_ratio == 1.0 and rep.passed and rep.first_violation is None
+    assert rep.worst_pair == (table.knots[1], table.knots[0])
+    # every tile can reach the maximum: nothing is pruned
+    assert rep.pairs_evaluated == rep.pair_count
+
+
+@pytest.mark.parametrize("n, batch_pairs", [(400, None), (45, 1)])
+def test_pruned_all_pairs_ratio_of_one_next_to_one_just_above(n, batch_pairs):
+    # ratios are exactly 1, except against the last knot, raised by one ulp
+    table, hyp = _flat(n, {n - 1: math.nextafter(1.0, 2.0)})
+    rep = _same_as_enumeration(table, hyp, batch_pairs)
+    assert rep.max_ratio == math.nextafter(1.0, 2.0) and not rep.passed
+    assert rep.first_violation == rep.worst_pair == (table.knots[-1], table.knots[0])
+
+
+@pytest.mark.parametrize("n, batch_pairs", [(400, None), (45, 1)])
+def test_pruned_all_pairs_keeps_violations_within_the_rounding_margin(n, batch_pairs):
+    # two rises within the 1e-12 slack: the first violation reads 1 + 1e-13,
+    # below the bounds' rounding margin, and the maximum (1 + 1e-13)(1 + 1e-12)
+    # lies further along row 0
+    first, top = n // 3, 2 * n // 3
+    table, hyp = _flat(n, {first: 1.0 + 1e-13, top: (1.0 + 1e-13) * (1.0 + 1e-12)})
+    rep = _same_as_enumeration(table, hyp, batch_pairs)
+    assert rep.first_violation == (table.knots[first], table.knots[0])
+    assert rep.worst_pair == (table.knots[top], table.knots[0])
+
+
+@pytest.mark.parametrize("n, batch_pairs", [(400, None), (200, 64)])
+def test_pruned_all_pairs_finds_a_violation_in_a_tile_before_the_worst_pair(n, batch_pairs):
+    # psi = 1 and B = C = 1: ratio (h - k)^3 / (c1 (h^0.01 + 1)) peaks at the
+    # widest pair; c1 puts it at 8, so row 0 crosses 1 near its middle, in a
+    # tile whose bound lies far below the maximum
+    table = PsiTable(np.linspace(1.0, 2.0 * n, n), np.ones(n), k0=1.0)
+    hyp = DecayHypothesis(1.0, A=0.01, B=1.0, C=1.0, D=3.0, k0=1.0)
+    top = check_hypothesis(table, hyp, _Enumerated()).max_ratio
+    rep = _same_as_enumeration(table, replace(hyp, c1=top / 8.0), batch_pairs)
+    assert rep.worst_pair == (table.knots[-1], table.knots[0])
+    h, k = rep.first_violation
+    assert k == table.knots[0] and table.knots[n // 3] < h < table.knots[2 * n // 3]
+    assert rep.pairs_evaluated < rep.pair_count // 10
+
+
+def test_pruned_all_pairs_skips_most_pairs_of_a_smooth_table():
+    # a power-law table of 1000 knots, as verify reads them
+    rng = np.random.default_rng(11)
+    knots = np.geomspace(1.0, 1024.0, 1000)
+    lam = rng.uniform(0.8, 5.0)
+    values = np.minimum(0.7, 0.7 * (knots / 2.5) ** -lam)
+    u = 0.3
+    B = rng.uniform(1.0 - u + 0.05, 0.95)
+    D = lam * u
+    hyp = DecayHypothesis(1.0, A=D - lam * (1.0 - B), B=B, C=1.0 - u, D=D, k0=1.0)
+    rep = _same_as_enumeration(PsiTable(knots, values, k0=1.0), hyp)
+    assert rep.pair_count == 499500
+    assert rep.pairs_evaluated < rep.pair_count // 20
+
+
+def test_pairs_evaluated_is_pair_count_where_nothing_is_pruned():
+    table, hyp = _flat(400)
+    # h^A leaves the float range: the bounds' margin is inf and every pair is checked
+    huge = DecayHypothesis(1.0, A=1e308, B=1.0, C=1.0, D=1.7e308, k0=1.0)
+    for strategy, h in ((AllKnotPairs(), huge), (Doubling(), hyp), (RandomPairs(50, 3), hyp)):
+        rep = check_hypothesis(table, h, strategy)
+        assert rep.pairs_evaluated == rep.pair_count
+    small, hyp = _flat(300)  # 44850 pairs: one batch, checked without bounds
+    assert check_hypothesis(small, hyp, AllKnotPairs()).pairs_evaluated == 44850
 
 
 def test_log_sum_matches_logaddexp():

@@ -8,6 +8,8 @@ the oracle of the sort-free path for already ordered fields.
 """
 import math
 
+import mpmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +36,22 @@ def test_unit_ball_volume():
     assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-14)
     assert unit_ball_volume(3) == pytest.approx(4 * math.pi / 3, rel=1e-14)
     assert unit_ball_volume(4) == pytest.approx(math.pi**2 / 2, rel=1e-14)
+
+
+def test_unit_ball_volume_past_the_gamma_overflow():
+    # up to n = 341 the volume is the plain quotient, bit for bit
+    for n in range(1, 342):
+        assert unit_ball_volume(n) == math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    with pytest.raises(OverflowError):
+        math.gamma(342 / 2.0 + 1.0)
+    mpmath.mp.dps = 30
+    for n in (342, 400, 440):
+        exact = mpmath.pi ** (n / 2) / mpmath.gamma(mpmath.mpf(n) / 2 + 1)
+        assert unit_ball_volume(n) == pytest.approx(float(exact), rel=1e-11)
+    assert 0.0 < unit_ball_volume(450) < 1e-320  # a subnormal volume is still a volume
+    for n in (500, 1300):  # pi**(n/2) overflows too from n = 1242
+        with pytest.raises(ValueError, match=rf"underflows to 0 in dimension n = {n}$"):
+            unit_ball_volume(n)
 
 
 # ---------------------------------------------------------------- distribution

@@ -77,6 +77,18 @@ def test_radial_grid_validation():
         RadialGrid(n=4, radius=0.0, cells=8)
     with pytest.raises(ValueError):
         RadialGrid(n=0, radius=1.0, cells=8)
+    # (1/32)**400 underflows: the inner shells would have measure 0
+    with pytest.raises(ValueError, match=r"leave the float range for radius = 1.0, n = 400$"):
+        RadialGrid(n=400, radius=1.0, cells=32)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_radial_grid_shells_difference_one_power_pass_bitwise(n):
+    grid = RadialGrid(n=n, radius=1.0, cells=2**18)
+    nodes = grid.nodes
+    assert nodes.size == 2**18 + 1
+    twice = unit_ball_volume(n) * (nodes[1:] ** n - nodes[:-1] ** n)
+    assert np.array_equal(grid.cell_measures, twice)
 
 
 def test_discrete_field_zero_trace_enforced():
