@@ -91,23 +91,9 @@ class ConfigError(Exception):
 
 _Schema = Dict[str, Tuple[bool, Dict[str, bool]]]
 
-_LEMMA_KEYS = {
-    "c1": True,
-    "A": True,
-    "B": True,
-    "C": True,
-    "D": True,
-    "k0": False,
-    "psi_at_k0": False,
-}
+_LEMMA_KEYS = {"c1": True, "A": True, "B": True, "C": True, "D": True, "k0": False, "psi_at_k0": False}
 _PROBLEM_KEYS = {
-    "n": True,
-    "p": True,
-    "alpha": True,
-    "r": True,
-    "beta1": False,
-    "b_const": False,
-    "source_scale": False,
+    "n": True, "p": True, "alpha": True, "r": True, "beta1": False, "b_const": False, "source_scale": False,
 }
 _GRID_KEYS = {"cells": True, "radius": False, "refinements": False}
 _SOLVER_KEYS = {"grad_tol": False, "max_iters": False, "epsilon": False}

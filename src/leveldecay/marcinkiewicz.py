@@ -105,19 +105,17 @@ class DistributionProfile:
             raise ValueError("levels and measures must be one-dimensional")
         if levels.shape != measures.shape:
             raise ValueError("levels and measures must have equal length")
-        if not (np.all(np.isfinite(levels)) and np.all(np.isfinite(measures))):
+        if not (np.isfinite(levels).all() and np.isfinite(measures).all()):
             raise ValueError("levels and measures must be finite")
-        if levels.size:
-            if np.any(levels < 0.0):
-                raise ValueError("levels must be nonnegative")
-            if np.any(np.diff(levels) <= 0.0):
-                raise ValueError("levels must be strictly increasing")
-        if np.any(measures < 0.0):
+        if levels.size and levels.min() < 0.0:
+            raise ValueError("levels must be nonnegative")
+        if (levels[1:] <= levels[:-1]).any():
+            raise ValueError("levels must be strictly increasing")
+        if measures.size and measures.min() < 0.0:
             raise ValueError("measures must be nonnegative")
-        if measures.size > 1:
-            rises = measures[1:] - measures[:-1]
-            if np.any(rises > _MONOTONE_SLACK * np.maximum(measures[:-1], 1.0)):
-                raise ValueError("measures must be nonincreasing in the level")
+        rises = measures[1:] - measures[:-1]
+        if (rises > _MONOTONE_SLACK * np.maximum(measures[:-1], 1.0)).any():
+            raise ValueError("measures must be nonincreasing in the level")
         if not math.isfinite(self.total_measure) or self.total_measure < 0.0:
             raise ValueError("total_measure must be finite and nonnegative")
         if measures.size and measures[0] > self.total_measure * (1.0 + _MONOTONE_SLACK):
@@ -146,14 +144,14 @@ class _LevelIndex:
             raise ValueError("values and weights must be one-dimensional")
         if vals.shape != w.shape:
             raise ValueError("values and weights must have equal length")
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(w))):
+        if not (np.isfinite(vals).all() and np.isfinite(w).all()):
             raise ValueError("values and weights must be finite")
-        if np.any(w < 0.0):
+        if w.size and w.min() < 0.0:
             raise ValueError("weights must be nonnegative")
         neg = np.abs(vals)
         np.negative(neg, out=neg)
         self.prefix = np.zeros(vals.size + 1)
-        if np.all(neg[1:] >= neg[:-1]):
+        if (neg[1:] >= neg[:-1]).all():
             self.keys = neg
             np.cumsum(w, out=self.prefix[1:])
             return
@@ -162,10 +160,13 @@ class _LevelIndex:
         del neg  # freed before the gathered weights are taken: a lower peak
         np.cumsum(w[order], out=self.prefix[1:])
 
+    def measures(self, levels) -> np.ndarray:
+        """Measures of {|v| >= k} for an array of levels k in any order, repeats allowed."""
+        return self.prefix[np.searchsorted(self.keys, np.negative(levels), side="right")]
+
     def profile(self, levels) -> DistributionProfile:
         lv = np.asarray(levels, dtype=float)
-        measures = self.prefix[np.searchsorted(self.keys, -lv, side="right")]
-        return DistributionProfile(levels=lv, measures=measures, total_measure=self.prefix[-1])
+        return DistributionProfile(levels=lv, measures=self.measures(lv), total_measure=self.prefix[-1])
 
 
 def distribution_function(values, weights, levels) -> DistributionProfile:
@@ -416,9 +417,9 @@ def power_source(nodes, n: int, r: float, scale: float) -> PowerSource:
     nodes = np.array(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2:
         raise ValueError("nodes must be a one-dimensional grid with >= 2 entries")
-    if not np.all(np.isfinite(nodes)):
+    if not np.isfinite(nodes).all():
         raise ValueError("nodes must be finite")
-    if nodes[0] < 0.0 or np.any(nodes[1:] <= nodes[:-1]):
+    if nodes[0] < 0.0 or (nodes[1:] <= nodes[:-1]).any():
         raise ValueError("nodes must be nonnegative and strictly increasing")
     if n != int(n) or n < 1:
         raise ValueError("dimension must be a positive integer")

@@ -611,6 +611,25 @@ def test_minimize_in_high_dimension_names_the_cause(tmp_path, capsys, recwarn, n
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_minimize_whose_every_trial_energy_is_nan_exits_2(tmp_path, capsys, recwarn):
+    # From u = 0 the full Newton step reaches |u| ~ 3e300 and every halving
+    # down to the step floor still has a NaN energy: not a stagnated solve.
+    cfg = write(
+        tmp_path / "c.ini",
+        "[problem]\nn = 4\np = 2.0\nalpha = 0.25\nr = 1.75\nsource_scale = 1e300\n"
+        f"[grid]\ncells = 32\n[output]\ndirectory = {tmp_path}\n",
+    )
+    assert main(["minimize", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no line-search trial has a finite energy;"
+        " the full Newton step reaches max |u| = 3.24e+300\n"
+    )
+    assert len(recwarn) == 0
+    assert not (tmp_path / "report.csv").exists()
+
+
 # ---------------------------------------------------------------- analyze
 def test_analyze_exact_power_profile(tmp_path, capsys):
     ks = np.geomspace(1.0, 1e3, 60)

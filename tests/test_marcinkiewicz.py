@@ -12,7 +12,7 @@ import mpmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from leveldecay.marcinkiewicz import (
@@ -201,6 +201,111 @@ def test_level_index_last_element_out_of_order_is_sorted():
     assert index.keys.tolist() == [-6.0, -5.0, -4.0, -4.0, -0.0, -0.0]
     assert index.prefix.tolist() == [0.0, 32.0, 33.0, 35.0, 39.0, 47.0, 63.0]
     assert distribution_function(values, weights, [4.0, 6.0]).measures.tolist() == [39.0, 32.0]
+
+
+def _profile_error_before(levels, measures, total_measure):
+    """First message of ``DistributionProfile``'s validation as written with
+    the np.all/np.any/np.diff wrappers, or None when it accepts."""
+    levels = np.array(levels, dtype=float)
+    measures = np.array(measures, dtype=float)
+    total_measure = float(total_measure)
+    if levels.ndim != 1 or measures.ndim != 1:
+        return "levels and measures must be one-dimensional"
+    if levels.shape != measures.shape:
+        return "levels and measures must have equal length"
+    if not (np.all(np.isfinite(levels)) and np.all(np.isfinite(measures))):
+        return "levels and measures must be finite"
+    if levels.size:
+        if np.any(levels < 0.0):
+            return "levels must be nonnegative"
+        if np.any(np.diff(levels) <= 0.0):
+            return "levels must be strictly increasing"
+    if np.any(measures < 0.0):
+        return "measures must be nonnegative"
+    if measures.size > 1:
+        rises = measures[1:] - measures[:-1]
+        if np.any(rises > 1e-12 * np.maximum(measures[:-1], 1.0)):
+            return "measures must be nonincreasing in the level"
+    if not math.isfinite(total_measure) or total_measure < 0.0:
+        return "total_measure must be finite and nonnegative"
+    if measures.size and measures[0] > total_measure * (1.0 + 1e-12):
+        return "measures cannot exceed the total measure"
+    return None
+
+
+def _level_index_error_before(values, weights):
+    """First message of ``_LevelIndex``'s validation as written with np.all/np.any."""
+    vals = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if vals.ndim != 1 or w.ndim != 1:
+        return "values and weights must be one-dimensional"
+    if vals.shape != w.shape:
+        return "values and weights must have equal length"
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(w))):
+        return "values and weights must be finite"
+    if np.any(w < 0.0):
+        return "weights must be nonnegative"
+    return None
+
+
+def _error(make):
+    try:
+        make()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, -1.0, -1e-300, 1e-300, 1e308, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _profile_inputs(draw):
+    """Levels and measures that are sorted, tied or decreasing, with rises
+    inside and past the slack, a special value, empty inputs and mismatched
+    or two-dimensional shapes."""
+    size = draw(st.integers(0, 8))
+    levels = draw(st.lists(st.floats(0.0, 10.0), min_size=size, max_size=size))
+    order = draw(st.sampled_from(["increasing", "increasing", "raw", "decreasing"]))
+    if order != "raw":
+        levels.sort(reverse=order == "decreasing")
+    if size > 1 and draw(st.integers(0, 3)) == 0:
+        levels[1] = levels[0]  # a tie
+    measures = sorted(draw(st.lists(st.floats(0.0, 100.0), min_size=size, max_size=size)), reverse=True)
+    if size > 1 and draw(st.booleans()):
+        at = draw(st.integers(1, size - 1))
+        gain = draw(st.sampled_from([0.0, 0.5e-12, 1e-12, 2e-12, 1e-6, 1.0]))
+        measures[at] = measures[at - 1] + gain * max(measures[at - 1], 1.0)
+    if size and draw(st.booleans()):
+        values = draw(st.sampled_from([levels, measures]))
+        values[draw(st.integers(0, size - 1))] = draw(_SPECIAL)
+    shape = draw(st.sampled_from(["equal"] * 5 + ["longer", "shorter", "2-d"]))
+    if shape == "longer":
+        measures.append(0.0)
+    elif shape == "shorter" and measures:
+        measures.pop()
+    elif shape == "2-d":
+        levels = [levels]
+    top = max(measures, default=0.0)
+    total = draw(st.sampled_from([top, top * (1.0 + 0.5e-12), top * (1.0 + 2e-12), 0.0, -1.0, math.nan, math.inf]))
+    return levels, measures, total
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=_profile_inputs())
+@example(drawn=([], [], 0.0))
+@example(drawn=([1.0, 2.0], [1.0, 1.0 + 0.5e-12], 1.0))  # a rise inside the slack
+@example(drawn=([1.0, 2.0], [1.0, 1.0 + 2e-12], 1.0 + 2e-12))  # and past it
+@example(drawn=([1.0, 2.0], [-1e-300, -1e-300], 0.0))
+@example(drawn=([1.0], [-1.0], 1.0))
+@example(drawn=([1.0], [2.0], 1.0))
+def test_validators_accept_and_reject_as_before(drawn):
+    levels, measures, total = drawn
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _profile_error_before(levels, measures, total)
+        assert _error(lambda: DistributionProfile(levels, measures, total)) == want
+        # the same arrays as the values and weights of a level index
+        assert _error(lambda: _LevelIndex(levels, measures)) == _level_index_error_before(levels, measures)
 
 
 # ---------------------------------------------------------------- weak norm

@@ -5,6 +5,9 @@ differences for the gradient and the Hessian, a direct tridiagonal
 solve (scipy, test-only) for the linear regime alpha = 0, p = 2,
 per-pair mask sums for the level-set inequality check, and a fresh
 ``distribution_function`` of the midpoints for the kept level index.
+Earlier forms of the energy kernel, the tridiagonal solve, the shift
+loop and the level-set check are kept as bitwise oracles of their
+leaner successors.
 """
 import math
 import os
@@ -20,6 +23,7 @@ import leveldecay
 from conftest import TRICHOTOMY_GRIDS, TRICHOTOMY_TOL
 from leveldecay import variational
 from leveldecay.exponents import ProblemParams, compute_exponents, holder_conjugate
+from leveldecay.lemma import _pair_scan
 from leveldecay.marcinkiewicz import (
     DistributionProfile,
     distribution_function,
@@ -42,7 +46,7 @@ from leveldecay.variational import (
     tail_fit_of,
     truncate,
 )
-from leveldecay.variational import _coefficients, _evaluate, _newton_direction
+from leveldecay.variational import _coefficients, _evaluate, _newton_direction, _tridiagonal_solve
 
 
 def make_spec(grid, *, n=4, p=2.0, alpha=0.25, r=1.75, beta1=1.0, b_const=1.0,
@@ -343,6 +347,139 @@ def test_newton_direction_shifts_indefinite_hessian():
     spd = dense + 4.0 * np.eye(4)
     d0 = _newton_direction(np.diag(spd).copy(), off, metric, g)
     assert np.allclose(spd @ d0, -g, rtol=0.0, atol=1e-12)
+
+
+def _evaluate_before(u, h, meas, fbar, beta1, b, ap, p, eps):
+    """``_evaluate`` before b + |ubar|, du^2, meas a and w1 + w2 were each taken once."""
+    ubar = 0.5 * (u[:-1] + u[1:])
+    du = (u[1:] - u[:-1]) / h
+    absu = np.abs(ubar)
+    a = beta1 / (b + absu) ** ap
+    da = -ap * beta1 * np.sign(ubar) / (b + absu) ** (ap + 1)
+    dda = ap * (ap + 1) * beta1 / (b + absu) ** (ap + 2)
+    q = eps * eps + du * du
+    q_power = q ** (p / 2 - 1)
+    je = q ** (p / 2) - eps**p
+    energy = float(np.sum(meas * (a * je - fbar * ubar)))
+    jp = p * du * q_power
+    half = 0.5 * meas * (da * je - fbar)
+    flux = meas * a * jp / h
+    g = np.zeros(u.size - 1)
+    g += half - flux
+    g[1:] += half[:-1] + flux[:-1]
+    slope_share = np.divide(du * du, q, out=np.zeros_like(q), where=q > 0.0)
+    jpp = p * q_power * (1.0 + (p - 2.0) * slope_share)
+    w1 = 0.25 * meas * dda * je
+    w2 = meas * a * jpp / (h * h)
+    w3 = meas * da * jp / h
+    diag = w1 + w2 - w3
+    diag[1:] += (w1 + w2 + w3)[:-1]
+    return energy, g, diag, (w1 - w2)[:-1]
+
+
+def _tridiagonal_solve_before(diag, off, rhs):
+    """The Thomas sweep before it kept y[i - 1] in a local."""
+    d = diag.tolist()
+    e = off.tolist()
+    y = rhs.tolist()
+    n = len(d)
+    pivots = [0.0] * n
+    factors = [0.0] * n
+    pivot = d[0]
+    if not pivot > 0.0:
+        return None
+    pivots[0] = pivot
+    for i in range(1, n):
+        factor = e[i - 1] / pivot
+        pivot = d[i] - factor * e[i - 1]
+        if not pivot > 0.0:
+            return None
+        factors[i] = factor
+        pivots[i] = pivot
+        y[i] -= factor * y[i - 1]
+    x = y[n - 1] / pivots[n - 1]
+    y[n - 1] = x
+    for i in range(n - 2, -1, -1):
+        x = y[i] / pivots[i] - factors[i + 1] * x
+        y[i] = x
+    return np.array(y)
+
+
+def _newton_direction_before(diag, off, metric, g):
+    """The shift loop before sigma = 0 was tried on ``diag`` itself, ahead of the first shift."""
+    sigma = 0.0
+    first = variational._SHIFT_START * float(np.max(np.abs(diag) / metric)) or variational._SHIFT_START
+    while math.isfinite(sigma):
+        direction = _tridiagonal_solve_before(diag + sigma * metric, off, -g)
+        if direction is not None:
+            return direction
+        sigma = 2.0 * sigma if sigma else first
+    return None
+
+
+def _same_bits(mine, oracle):
+    if mine is None or oracle is None:
+        return mine is None and oracle is None
+    return np.asarray(mine).tobytes() == np.asarray(oracle).tobytes()
+
+
+@given(
+    p=st.sampled_from([1.5, 2.0, 3.0]),
+    epsilon=st.sampled_from([0.0, 1e-6]),
+    alpha=st.floats(min_value=0.0, max_value=0.3),
+    b_const=st.sampled_from([1.0, 1e-3, 1e-12, 1e-300]),
+    scale=st.sampled_from([0.0, 1.0, -2.0]),
+    free=st.lists(_NODE_VALUES, min_size=1, max_size=40),
+)
+@example(p=3.0, epsilon=0.0, alpha=0.3, b_const=1e-300, scale=1.0, free=[0.0, -0.0, 0.5, -0.5])
+@settings(max_examples=200, deadline=None)
+def test_evaluate_matches_the_kernel_before_bitwise(p, epsilon, alpha, b_const, scale, free):
+    # tobytes() compares every bit, so a -0.0 for a 0.0 or another NaN fails
+    assume(epsilon > 0.0 or p >= 2.0)
+    grid = RadialGrid(n=4, radius=1.0, cells=len(free))
+    spec = make_spec(grid, p=p, alpha=alpha, b_const=b_const, scale=abs(scale), epsilon=epsilon)
+    u = np.array(free + [0.0])
+    args = (u, grid.spacing, grid.cell_measures, math.copysign(1.0, scale) * spec.source, *_coefficients(spec))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        got, want = _evaluate(*args), _evaluate_before(*args)
+    assert all(_same_bits(mine, oracle) for mine, oracle in zip(got, want))
+
+
+def _first_failing_pivot(solve, diag, off, rhs):
+    """Size of the smallest leading block whose solve returns None, or None."""
+    for m in range(1, diag.size + 1):
+        if solve(diag[:m], off[: m - 1], rhs[:m]) is None:
+            return m
+    return None
+
+
+_HESSIAN_BREAKS = st.sampled_from([-1.0, 0.0, -0.0, 1e-300, math.inf, -math.inf, math.nan])
+
+
+@given(
+    size=st.integers(min_value=1, max_value=30),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    breaks=st.lists(st.tuples(st.integers(min_value=0, max_value=29), _HESSIAN_BREAKS), max_size=3),
+    shift=st.sampled_from([0.0, 2.5, 5.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_newton_direction_and_solve_match_the_kernels_before_bitwise(size, seed, breaks, shift):
+    # shift 0 draws indefinite matrices, 5 mostly definite ones; the breaks
+    # put non-positive or non-finite entries on the diagonal
+    rng = np.random.default_rng(seed)
+    diag = rng.uniform(-1.0, 3.0, size) + shift
+    for at, value in breaks:
+        diag[at % size] = value
+    off = rng.uniform(-2.0, 2.0, size - 1)
+    metric = rng.uniform(1e-6, 2.0, size)
+    g = rng.normal(size=size)
+    g[rng.random(size) < 0.2] = 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        assert _same_bits(_tridiagonal_solve(diag, off, -g), _tridiagonal_solve_before(diag, off, -g))
+        assert _first_failing_pivot(_tridiagonal_solve, diag, off, -g) == _first_failing_pivot(
+            _tridiagonal_solve_before, diag, off, -g
+        )
+        assert _same_bits(_newton_direction(diag, off, metric, g), _newton_direction_before(diag, off, metric, g))
 
 
 # ---------------------------------------------------------------- minimize
@@ -736,6 +873,62 @@ def test_levelset_check_matches_mask_oracle(cells, seed, n_pairs, r):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     want_constant = max((ratio for _, _, ratio in residuals), default=0.0)
     assert rep.constant == pytest.approx(want_constant, rel=1e-12, abs=0.0)
+
+
+def _levelset_by_unique_levels(field, grid, spec, pairs):
+    """The check as it read its measures before: one level_profile of the
+    np.unique of the pair levels, spread back to the pairs."""
+    hyp = compute_exponents(spec.params).hyp
+    levels = np.array(pairs, dtype=float).reshape(-1, 2)
+    h, k = levels[:, 0], levels[:, 1]
+    unique, index = np.unique(levels, return_inverse=True)
+    measures = level_profile(field, grid, unique).measures[index].reshape(-1, 2)
+    kept = measures[:, 1] > 0.0
+    skipped = [(float(a), float(b)) for a, b in levels[~kept]]
+    if not kept.any():
+        return [], skipped, 0.0
+    ratios, worst, _ = _pair_scan(
+        h[kept], k[kept], measures[kept, 0], measures[kept, 1], 1.0, hyp.A, hyp.B, hyp.C, hyp.D
+    )
+    return list(zip(h[kept].tolist(), k[kept].tolist(), ratios.tolist())), skipped, float(ratios[worst])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cells=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30),
+    copies=st.sampled_from([1, 1, 40]),
+)
+@example(cells=64, seed=1, picks=[(i, j) for i in range(12) for j in range(12)], copies=10)
+def test_levelset_check_reads_the_index_as_the_unique_levels_did(cells, seed, picks, copies):
+    # Pairs drawn from a pool of 12 levels, so levels repeat and are shared
+    # between pairs, in no order: cell values hit exactly, levels above the
+    # peak (skipped pairs) and a k below every nonzero cell.  Repeated 40
+    # times, most lists pass 512 levels, where the check sorts them first.
+    rng = np.random.default_rng(seed)
+    grid = RadialGrid(n=4, radius=1.0, cells=cells)
+    spec = make_spec(grid)
+    field = _random_field(rng, cells)
+    mid = np.abs(0.5 * (field.nodal_values[:-1] + field.nodal_values[1:]))
+    top = float(mid.max()) + 1e-3
+    pool = np.concatenate([rng.uniform(0.0, top, 6), rng.choice(mid, 3), [1e-300, 2.0 * top, 3.0 * top]])
+    pairs = [(float(pool[i]), float(pool[j])) for i, j in picks if pool[i] > pool[j] > 0.0] * copies
+    got = levelset_inequality_check(field, grid, spec, pairs)
+    assert (got.residuals, got.skipped, got.constant) == _levelset_by_unique_levels(field, grid, spec, pairs)
+
+
+def test_levelset_check_total_measure_past_the_float_range_rejected_as_before():
+    # Each shell is finite but the four sum past the float range.
+    grid = RadialGrid(n=3, radius=6e307 ** (1.0 / 3.0), cells=4)
+    spec = make_spec(grid, n=3, alpha=0.25)
+    field = DiscreteField([3.0, 1.0, 1.0, 1.0, 0.0])
+    for pairs in ([(2.5, 1.0)], [(2.5, 1e-300)], []):
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError) as before:
+                _levelset_by_unique_levels(field, grid, spec, pairs)
+            with pytest.raises(ValueError, match=f"^{before.value}$"):
+                levelset_inequality_check(field, grid, spec, pairs)
 
 
 def test_levelset_constant_stable_under_refinement(trichotomy_runs):
