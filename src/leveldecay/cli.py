@@ -610,7 +610,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -30,6 +30,7 @@ from .lemma import (
     WrongCaseError,
     _check_psi_at_k0,
     _exp,
+    _log,
     classify,
     exp_decay_tau,
     vanishing_level,
@@ -64,9 +65,7 @@ _POINTS_PER_DECADE = 64
 
 def psi_log_square(k: float) -> float:
     """exp(-(ln k)^2) on [1, inf)."""
-    if not k >= 1.0:
-        raise ValueError(f"psi_log_square is defined on [1, inf), got k={k}")
-    return math.exp(-math.log(k) ** 2)
+    return math.exp(_log_psi_log_square(k))
 
 
 def _log_psi_log_square(k: float) -> float:
@@ -85,14 +84,19 @@ def _log_psi_exp_power(k: float, p: float) -> float:
         return -math.inf
 
 
+def _exp_power_p(c_exp: float) -> float:
+    """The exponent p = log2(2 c_exp) of the exp-power family; requires c_exp > 1."""
+    if not c_exp > 1.0:
+        raise ValueError(f"c_exp must exceed 1, got {c_exp}")
+    return math.log2(2.0 * c_exp)
+
+
 def psi_exp_power(k: float, c_exp: float) -> float:
     """exp(-k**p) with p = log2(2 c_exp), on [1, inf); requires c_exp > 1.
 
     Reads 0.0 where k**p exceeds the float range.
     """
-    if not c_exp > 1.0:
-        raise ValueError(f"c_exp must exceed 1, got {c_exp}")
-    return math.exp(_log_psi_exp_power(k, math.log2(2.0 * c_exp)))
+    return math.exp(_log_psi_exp_power(k, _exp_power_p(c_exp)))
 
 
 @dataclass(frozen=True)
@@ -121,9 +125,7 @@ def exp_power_psi(c_exp: float) -> NamedPsi:
 
     Past the float range of k**p the value reads 0.0 and the log -inf.
     """
-    if not c_exp > 1.0:
-        raise ValueError(f"c_exp must exceed 1, got {c_exp}")
-    p = math.log2(2.0 * c_exp)
+    p = _exp_power_p(c_exp)
     return NamedPsi(
         name="exp_power",
         k0=1.0,
@@ -146,9 +148,7 @@ def k0_for_exp_power(d_exp: float, c_exp: float) -> float:
     """
     if not d_exp > 0.0:
         raise ValueError(f"d_exp must be positive, got {d_exp}")
-    if not c_exp > 1.0:
-        raise ValueError(f"c_exp must exceed 1, got {c_exp}")
-    p = math.log2(2.0 * c_exp)
+    p = _exp_power_p(c_exp)
 
     def g(k: float) -> float:
         return c_exp * k**p - d_exp * math.log(k)
@@ -234,7 +234,7 @@ def find_envelope_violation(
                 raise ValueError(f"tau_override must be positive, got {tau_override}")
             tau = tau_override
         theta = (hyp.D - hyp.A) / hyp.D
-        log_psi0 = math.log(psi_at_k0) if psi_at_k0 > 0.0 else -math.inf
+        log_psi0 = _log(psi_at_k0)
         j = 0
         while True:
             try:

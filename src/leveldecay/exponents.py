@@ -85,10 +85,6 @@ class ProblemParams:
         if not self.b_const > 0.0:
             raise ValueError(f"b_const must be positive, got {self.b_const}")
 
-    @property
-    def p_prime(self) -> float:
-        return holder_conjugate(self.p)
-
 
 class Regime(enum.Enum):
     """Regularity conclusion implied by the source integrability r."""

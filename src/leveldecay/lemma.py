@@ -36,17 +36,8 @@ order k = knots[i], h = knots[j] for j > i, which is the order "first"
 refers to.
 
 A table whose pairs fill more than one batch is checked by an exact
-branch-and-bound.  Tiles of 16 x 16 knot pairs get an upper bound on
-their log ratios from the same kernel, fed the per-knot terms at the
-tile's extremes: the terms in h are monotone because A, D > 0 and the
-knots strictly increase, and those in k are taken at their smallest over
-the tile.  Only tiles whose bound reaches the largest ratio found, or
-exceeds 1 before the first violation, are computed pair by pair.  No
-skipped pair can beat the kept maximum: its bound lies below the
-maximum's log by more than a rounding margin, and the margin covers
-numpy's log, log1p and exp, which are not guaranteed to be monotone.
-Every pair at the maximum is computed, so the result is the
-enumeration's, bit for bit.
+branch-and-bound (``_all_pairs_check``) whose report is the
+enumeration's, bit for bit, except that fewer pairs are computed.
 """
 from __future__ import annotations
 
@@ -461,10 +452,8 @@ class AllKnotPairs:
     ``values[None, s+1:]``, k and psi(k) the column vectors
     ``knots[s:e, None]`` and ``values[s:e, None]``.  Its pairs are the
     entries with h > k in row-major order; the kernel reads ratio 0 on
-    the others.  :func:`check_hypothesis` reads these batches only when
-    they are one, or when no tile bound can be trusted; otherwise it
-    prunes the pairs by their tile bounds (``_all_pairs_check``), with
-    the same result.
+    the others.  :func:`check_hypothesis` checks more pairs than one
+    batch holds by an exact branch-and-bound, with the same result.
     """
 
     def pair_arrays(self, table: PsiTable) -> Iterator[Batch]:
@@ -629,9 +618,9 @@ class CheckReport:
     inequality holds on the sample); ``worst_pair`` is the first (h, k)
     attaining it; ``first_violation`` is the first sampled pair with
     ratio > 1, or None.  ``pairs_evaluated`` is the number of pairs whose
-    ratio was computed exactly: ``pair_count`` for a strategy's batches,
-    fewer where :class:`AllKnotPairs` prunes tiles whose bound cannot
-    reach the result.
+    ratio was computed: ``pair_count`` for a strategy's batches, at most
+    that for :class:`AllKnotPairs` past one batch, which skips pairs that
+    cannot change the result.
     """
 
     max_ratio: float
@@ -640,6 +629,11 @@ class CheckReport:
     pair_count: int
     first_violation: Optional[Tuple[float, float]]
     pairs_evaluated: Optional[int] = None
+
+
+def _check_origin(table: PsiTable, hyp: DecayHypothesis) -> None:
+    if table.k0 < hyp.k0:
+        raise ValueError(f"table origin k0={table.k0} lies below hypothesis k0={hyp.k0}")
 
 
 def _pair_at(h, k, shape, flat: int) -> Tuple[float, float]:
@@ -683,8 +677,11 @@ def _bound_margin(knots, h_terms, k_terms, D: float) -> float:
     return _BOUND_MARGIN * total if total < math.inf else math.inf
 
 
-def _all_pairs_check(table: PsiTable, hyp: DecayHypothesis) -> Optional[CheckReport]:
+def _all_pairs_check(table: PsiTable, hyp: DecayHypothesis) -> CheckReport:
     """Exact branch-and-bound over the pairs of :class:`AllKnotPairs`.
+
+    The report is the enumeration's, bit for bit, except that
+    ``pairs_evaluated`` counts only the pairs of the tiles computed.
 
     The knots are cut into runs of ``_TILE``; a tile holds the pairs with
     k in one run and h in another.  Over a tile the terms of the log
@@ -696,8 +693,9 @@ def _all_pairs_check(table: PsiTable, hyp: DecayHypothesis) -> Optional[CheckRep
     over the run (values may rise by the table's slack).
     :func:`_pair_logs` fed these tile-extreme per-knot terms bounds every
     log ratio of the tile from above, up to a rounding margin
-    (:func:`_bound_margin`).  A tile whose psi(h) are all 0 reads 0 on
-    every pair and is skipped.
+    (:func:`_bound_margin`) that covers numpy's log, log1p and exp, which
+    are not guaranteed to be monotone.  A tile whose psi(h) are all 0
+    reads 0 on every pair and is skipped.
 
     The tile of the largest bound is evaluated first; its largest ratio
     is a level the maximum reaches.  Then every tile whose bound reaches
@@ -708,16 +706,15 @@ def _all_pairs_check(table: PsiTable, hyp: DecayHypothesis) -> Optional[CheckRep
     order of their runs of k, up to the run that holds the first
     violation found.  Bounds go in blocks of about ``_BATCH_PAIRS``
     tiles and ratios in batches of about ``_BATCH_PAIRS`` pairs, so
-    memory stays linear in the table size.  Returns None, so that every
-    pair is checked, where the margin is inf.
+    memory stays linear in the table size.  Where the margin is inf, every
+    tile with a pair h > k and a positive psi(h) is evaluated: that is the
+    enumeration.
     """
     knots, values = table.knots, table.values
     n = knots.size
     D = hyp.D
     h_terms, k_terms = _knot_logs(knots, values, values, hyp.c1, hyp.A, hyp.B, hyp.C)
     margin = _bound_margin(knots, h_terms, k_terms, D)
-    if margin == math.inf:
-        return None
     tiles = -(-n // _TILE)
     first = np.arange(tiles) * _TILE
     last = np.minimum(first + _TILE - 1, n - 1)
@@ -835,25 +832,13 @@ def check_hypothesis(
     when the table lies below the hypothesis origin or the strategy
     produces no pairs.
 
-    :class:`AllKnotPairs` on more pairs than one batch holds goes through
-    an exact branch-and-bound (``_all_pairs_check``): ``max_ratio``,
-    ``worst_pair``, ``first_violation`` and ``pair_count`` are those of
-    the full enumeration, bit for bit, while ``pairs_evaluated`` counts
-    only the pairs of the tiles whose bound could reach the maximum, or
-    exceed 1 before the first violation.  A tile is skipped only when
-    its bound, an upper bound on each of its log ratios, lies below the
-    log of the maximum found by more than a rounding margin; the margin
-    covers numpy's log, log1p and exp, which are not guaranteed to be
-    monotone, so no skipped pair can equal or beat the kept maximum.
+    :class:`AllKnotPairs` on more pairs than one batch holds reports
+    exactly what the enumeration of its batches reports, except that
+    ``pairs_evaluated`` counts only the pairs computed.
     """
-    if table.k0 < hyp.k0:
-        raise ValueError(
-            f"table origin k0={table.k0} lies below hypothesis k0={hyp.k0}"
-        )
+    _check_origin(table, hyp)
     if isinstance(strategy, AllKnotPairs) and len(table) * (len(table) - 1) // 2 > _BATCH_PAIRS:
-        report = _all_pairs_check(table, hyp)
-        if report is not None:
-            return report
+        return _all_pairs_check(table, hyp)
     max_ratio = -math.inf
     worst_pair: Optional[Tuple[float, float]] = None
     first_violation: Optional[Tuple[float, float]] = None
@@ -907,10 +892,7 @@ def check_envelope(
     envelope's constants entering through their logs, so a knot far out
     in the tail does not underflow the envelope to 0.
     """
-    if table.k0 < hyp.k0:
-        raise ValueError(
-            f"table origin k0={table.k0} lies below hypothesis k0={hyp.k0}"
-        )
+    _check_origin(table, hyp)
     knots, values = table.knots, table.values
     scale, log_factor = _envelope_logs(hyp, psi_at_k0, knots)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

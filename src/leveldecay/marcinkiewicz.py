@@ -414,6 +414,8 @@ def power_source(nodes, n: int, r: float, scale: float) -> PowerSource:
 
     which is exact (m > 0 because r > 1, so the origin cell is integrable).
     """
+    omega = unit_ball_volume(n)
+    n = int(n)
     nodes = np.array(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2:
         raise ValueError("nodes must be a one-dimensional grid with >= 2 entries")
@@ -421,9 +423,6 @@ def power_source(nodes, n: int, r: float, scale: float) -> PowerSource:
         raise ValueError("nodes must be finite")
     if nodes[0] < 0.0 or (nodes[1:] <= nodes[:-1]).any():
         raise ValueError("nodes must be nonnegative and strictly increasing")
-    if n != int(n) or n < 1:
-        raise ValueError("dimension must be a positive integer")
-    n = int(n)
     r = float(r)
     scale = float(scale)
     if not math.isfinite(r) or r <= 1.0:
@@ -440,7 +439,7 @@ def power_source(nodes, n: int, r: float, scale: float) -> PowerSource:
     np.divide(cell_values, shells, out=cell_values)
     nodes.setflags(write=False)
     cell_values.setflags(write=False)
-    total = unit_ball_volume(n) * float(nodes[-1] ** n - nodes[0] ** n)
+    total = omega * float(nodes[-1] ** n - nodes[0] ** n)
     return PowerSource(
         nodes=nodes, n=n, r=r, scale=scale, cell_values=cell_values, total_measure=total
     )

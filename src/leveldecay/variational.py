@@ -97,7 +97,11 @@ _EXP_SPAN = 50.0
 
 
 class NonFiniteEnergyError(ArithmeticError):
-    """Raised when the energy of the starting field, or of every line-search trial, is not finite."""
+    """Raised when the energy of the starting field, or of every line-search trial, is not finite.
+
+    Also raised when the Hessian has entries that are not finite, so that
+    no finite shift makes the Newton system positive definite.
+    """
 
 
 # --------------------------------------------------------------------------
@@ -116,8 +120,7 @@ class RadialGrid:
     __slots__ = ("n", "radius", "cells", "nodes", "cell_measures", "spacing")
 
     def __init__(self, n: int, radius: float, cells: int):
-        if n != int(n) or n < 1:
-            raise ValueError("dimension must be a positive integer")
+        volume = unit_ball_volume(n)
         radius = float(radius)
         if not math.isfinite(radius) or radius <= 0.0:
             raise ValueError("radius must be positive and finite")
@@ -128,7 +131,7 @@ class RadialGrid:
         self.cells = int(cells)
         nodes = np.linspace(0.0, radius, self.cells + 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            measures = unit_ball_volume(self.n) * np.diff(nodes ** self.n)
+            measures = volume * np.diff(nodes ** self.n)
         if not ((measures > 0.0) & (measures < math.inf)).all():
             raise ValueError(
                 f"shell measures leave the float range for radius = {radius}, n = {self.n}"
@@ -138,9 +141,6 @@ class RadialGrid:
         self.nodes = nodes
         self.cell_measures = measures
         self.spacing = radius / self.cells
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RadialGrid(n={self.n}, radius={self.radius}, cells={self.cells})"
 
 
 class DiscreteField:
@@ -365,11 +365,10 @@ class MinimizeReport:
     resolve, about machine epsilon times |E|, and the full Newton step
     did not halve the gradient norm either, before it reached
     grad_tol), "stagnated" (no step above the step floor decreases the
-    energy, or no shift makes the Hessian positive definite) or
-    "max_iters".  A full Newton step taken past the energy's resolution
-    counts as an iteration.  ``final_gradient_norm`` is the gradient
-    norm at ``final_field``.  ``energy_trace`` holds the energy at the
-    start and after every accepted iteration, so its length is
+    energy) or "max_iters".  A full Newton step taken past the energy's
+    resolution counts as an iteration.  ``final_gradient_norm`` is the
+    gradient norm at ``final_field``.  ``energy_trace`` holds the energy
+    at the start and after every accepted iteration, so its length is
     iterations + 1.
     """
 
@@ -431,7 +430,10 @@ def minimize(
     not.  On fine grids the last residual sits at the first nodes, whose
     tiny nodal measures make the gradient norm see an error the energy
     cannot.  The solve stops when the gradient norm reaches
-    ``grad_tol``; see ``MinimizeReport`` for the statuses.
+    ``grad_tol``; see ``MinimizeReport`` for the statuses.  A starting
+    energy, or every trial energy of a line search, that is not finite,
+    and a Hessian that no finite shift makes positive definite raise
+    :class:`NonFiniteEnergyError`.
     """
     u = initial.nodal_values.copy()
     _check_compatible(u, grid, spec)
@@ -464,8 +466,12 @@ def minimize(
                 break
             direction = _newton_direction(diag, off, metric, g)
             if direction is None:
-                status = "stagnated"
-                break
+                raise NonFiniteEnergyError(
+                    "no finite shift makes the Hessian positive definite;"
+                    f" {np.count_nonzero(~np.isfinite(diag))} of {diag.size} diagonal and"
+                    f" {np.count_nonzero(~np.isfinite(off))} of {off.size} off-diagonal entries"
+                    " are not finite"
+                )
             decrement = -float(g @ direction)
             if decrement <= _ROUNDOFF * abs(energy):
                 # the energy cannot rank this step; the gradient norm can

@@ -630,6 +630,25 @@ def test_minimize_whose_every_trial_energy_is_nan_exits_2(tmp_path, capsys, recw
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_minimize_with_a_non_finite_hessian_exits_2(tmp_path, capsys, recwarn):
+    # At u = 0 the gradient is finite but beta1 = 1e308 overflows most Hessian
+    # entries to inf, so no finite shift helps: not a stagnated solve.
+    cfg = write(
+        tmp_path / "c.ini",
+        "[problem]\nn = 4\np = 2.0\nalpha = 0.25\nr = 1.75\nbeta1 = 1e308\n"
+        f"[grid]\ncells = 32\n[output]\ndirectory = {tmp_path}\n",
+    )
+    assert main(["minimize", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no finite shift makes the Hessian positive definite;"
+        " 29 of 32 diagonal and 27 of 31 off-diagonal entries are not finite\n"
+    )
+    assert len(recwarn) == 0
+    assert not (tmp_path / "report.csv").exists()
+
+
 # ---------------------------------------------------------------- analyze
 def test_analyze_exact_power_profile(tmp_path, capsys):
     ks = np.geomspace(1.0, 1e3, 60)

@@ -830,6 +830,61 @@ def test_pruned_all_pairs_matches_enumeration(drawn, batch_pairs):
     _same_as_enumeration(table, hyp, batch_pairs)
 
 
+@st.composite
+def _unbounded_inputs(draw):
+    """Tables past one batch whose tile bounds have an infinite rounding margin.
+
+    A or D lies near the float max, so A log h or D log(h - k) leaves the
+    float range on most pairs; or B does, so (B - C) log psi(k) reads
+    +inf or -inf and the pairs whose psi(k) is small keep finite ratios.
+    Values come with flat runs (ties), drops and zero tails, and may be
+    all zero.  Tables past the real batch of 2**16 pairs (363 knots and
+    more) are drawn next to small tables checked with a smaller batch.
+    ``scale`` puts c1 at that multiple of the largest finite ratio at
+    c1 = 1, so that the maximum sits near 1.
+    """
+    batch_pairs = draw(st.sampled_from([None, 1, 5, 64, 1000]))
+    size = draw(st.integers(363, 380) if batch_pairs is None else st.integers(2, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    knots = {
+        "integer": np.arange(size, dtype=float) + draw(st.sampled_from([0.0, 1.0])),
+        "geometric": np.geomspace(1e-3, 1e3, size),
+        "random": 10.0 ** np.sort(rng.uniform(-5.0, 5.0, size)),
+    }[draw(st.sampled_from(["integer", "geometric", "random"]))]
+    assume(np.all(np.diff(knots) > 0.0))
+    big = draw(st.sampled_from(["A", "D", "B"]))
+    steps = rng.choice([1.0, 1.0, 0.5, 1e-30], size)
+    # with B near the float max, (B - C) log psi(k) is +inf only where psi(k) > 6 or so
+    values = np.cumprod(steps) * 10.0 ** rng.uniform(1.0 if big == "B" else -3.0, 3.0)
+    values[size - draw(st.integers(0, size)):] = 0.0
+    near_max = float(rng.uniform(1e308, 1.7e308))
+    A, B, C, D = rng.uniform(0.05, 3.0, 4)
+    if big == "A":
+        A, D = 1e308, near_max
+    elif big == "D":
+        D = near_max
+    else:
+        B, D = near_max, A + D
+    if big != "B" and draw(st.booleans()):
+        B = C
+    hyp = DecayHypothesis(c1=10.0 ** rng.uniform(-3.0, 3.0), A=A, B=B, C=C, D=D, k0=0.0)
+    scale = draw(st.sampled_from([None, 0.5, 1.0, 2.0]))
+    return PsiTable(knots, values, k0=0.0), hyp, batch_pairs, scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=_unbounded_inputs())
+def test_all_pairs_with_an_infinite_margin_matches_enumeration(drawn):
+    table, hyp, batch_pairs, scale = drawn
+    top = check_hypothesis(table, hyp, _Enumerated()).max_ratio
+    if scale is not None and 1e-300 < top < 1e300:
+        hyp = replace(hyp, c1=top * scale)
+    knots, values = table.knots, table.values
+    h_terms, k_terms = lemma._knot_logs(knots, values, values, hyp.c1, hyp.A, hyp.B, hyp.C)
+    assume(lemma._bound_margin(knots, h_terms, k_terms, hyp.D) == math.inf)
+    _same_as_enumeration(table, hyp, batch_pairs)
+
+
 def _flat(n, bump=None):
     """psi = 1 on n knots, with A and D so small that every ratio rounds alike.
 

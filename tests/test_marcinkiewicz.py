@@ -54,6 +54,15 @@ def test_unit_ball_volume_past_the_gamma_overflow():
             unit_ball_volume(n)
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.5])
+def test_dimension_is_checked_before_the_other_arguments(n):
+    with pytest.raises(ValueError, match="^dimension must be a positive integer$"):
+        unit_ball_volume(n)
+    # nodes, r and scale are all invalid too
+    with pytest.raises(ValueError, match="^dimension must be a positive integer$"):
+        power_source([1.0, 0.5], n=n, r=0.5, scale=-1.0)
+
+
 # ---------------------------------------------------------------- distribution
 def test_distribution_constant_field():
     prof = distribution_function(

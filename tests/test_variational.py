@@ -86,6 +86,17 @@ def test_radial_grid_validation():
         RadialGrid(n=400, radius=1.0, cells=32)
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.5])
+def test_radial_grid_checks_the_dimension_first(n):
+    with pytest.raises(ValueError, match="^dimension must be a positive integer$"):
+        RadialGrid(n=n, radius=-1.0, cells=0)
+
+
+def test_radial_grid_checks_the_ball_volume_before_the_radius():
+    with pytest.raises(ValueError, match="^the unit ball volume underflows to 0 in dimension n = 2000$"):
+        RadialGrid(n=2000, radius=-1.0, cells=8)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
 def test_radial_grid_shells_difference_one_power_pass_bitwise(n):
     grid = RadialGrid(n=n, radius=1.0, cells=2**18)
