@@ -28,10 +28,9 @@ never overflow.  Envelope constants are computed as logs and returned
 as floats, ``inf`` when they exceed the float range.  Every check ratio
 lhs/rhs is ``exp(log lhs - log rhs)`` over numpy arrays of pairs, with
 the conventions 0/0 -> 0 and positive/0 -> +inf; a ratio beyond the
-float range reads ``inf``.  The logs of knots and values, and the
-exponentials that the log-sum of the right-hand side splits into, are
-taken once per knot; per pair only h - k, its log, one product with its
-log1p and the ratio are computed.  All-pairs pairs keep the row-major
+float range reads ``inf``.  The logs of knots and values are taken once
+per knot; per pair only the log-sum of the right-hand side, h - k, its
+log and the ratio are computed.  All-pairs pairs keep the row-major
 order k = knots[i], h = knots[j] for j > i, which is the order "first"
 refers to.
 
@@ -545,49 +544,40 @@ def _log_sum(x: np.ndarray, y) -> np.ndarray:
 def _knot_logs(h, lhs, base, c1: float, A: float, B: float, C: float):
     """Per-knot terms of the pair kernel, taken once per knot.
 
-    Returns ``(h_terms, k_terms)``: h_terms = (log lhs - log c1, a, e^a)
-    with a = A log h, one per h, and k_terms = (C log base, b, e^b) with
+    Returns ``(h_terms, k_terms)``: h_terms = (log lhs - log c1, a) with
+    a = A log h, one per h, and k_terms = (C log base, b) with
     b = (B - C) log base (b = -inf where base = 0), one per k.  With
     B = C, b is the scalar 0.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_base = np.log(base)
         log_lhs = np.log(lhs) - math.log(c1)
-        a = A * np.log(h)
-        if B == C:  # e^b = 1, and where base = 0 the term C log base is -inf
+        if B == C:  # where base = 0 the term C log base is -inf
             b = 0.0
         else:
             b = (B - C) * log_base
             b[base == 0.0] = -math.inf
-        return (log_lhs, a, np.exp(a)), (C * log_base, b, np.exp(b))
+        return (log_lhs, A * np.log(h)), (C * log_base, b)
 
 
 def _pair_logs(h, k, h_terms, k_terms, D: float) -> np.ndarray:
     """Log ratios log lhs - log(c1 (h^A base^B + base^C) / (h-k)^D).
 
     ``h`` and ``h_terms`` (see :func:`_knot_logs`) broadcast against ``k``
-    and ``k_terms``.  The log of the right-hand sum splits into
-    C log base + log1p(e^a e^b), so a pair costs one product and one
-    log1p; with B = C the log1p term is one per h.  Entries whose product
-    overflows or reads 0 * inf are recomputed as :func:`_log_sum`
-    (a + b, 0), which holds over the whole float range.  Per pair the
-    kernel then computes h - k, its log and the sum of the terms; an
-    entry with h <= k reads NaN or -inf.
+    and ``k_terms``.  The log of the right-hand sum is
+    C log base + :func:`_log_sum` (a + b, 0), which holds over the whole
+    float range; with B = C the log-sum is one per h.  Per pair the
+    kernel computes a + b, its log-sum, h - k, its log and the sum of the
+    terms; an entry with h <= k reads NaN or -inf.
     """
-    log_lhs, a, ea = h_terms
-    c_log_base, b, eb = k_terms
+    log_lhs, a = h_terms
+    c_log_base, b = k_terms
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log1p_term = np.multiply(ea, eb)
-        np.log1p(log1p_term, out=log1p_term)
-        if not math.isfinite(log1p_term.max()):
-            shape = log1p_term.shape
-            bad = ~np.isfinite(log1p_term)
-            gap = np.broadcast_to(a, shape)[bad] + np.broadcast_to(b, shape)[bad]
-            log1p_term[bad] = _log_sum(gap, 0.0)
+        log_sum = _log_sum(np.add(a, b), 0.0)
         log_ratios = np.subtract(h, k)
         np.log(log_ratios, out=log_ratios)
         log_ratios *= D
-        log_ratios -= log1p_term
+        log_ratios -= log_sum
         log_ratios -= c_log_base
         log_ratios += log_lhs
     return log_ratios
@@ -662,12 +652,12 @@ def _bound_margin(knots, h_terms, k_terms, D: float) -> float:
     Their rounding, a few ulps of each term, stays below 1e-12 times the
     sum of the largest magnitudes that the terms take on the table plus
     one: D |log(h - k)| (h - k lies between the smallest knot gap and
-    the span), the log1p term (at most max(a + b, 0) + log 2),
+    the span), the log-sum term (at most max(a + b, 0) + log 2),
     C |log psi(k)| and |log psi(h) - log c1|.  The margin is inf, and
     nothing is pruned, where a term leaves the float range.
     """
-    log_lhs, a, _ = h_terms
-    c_log_base, b, _ = k_terms
+    log_lhs, a = h_terms
+    c_log_base, b = k_terms
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_gap = max(abs(math.log(np.diff(knots).min())), abs(math.log(knots[-1] - knots[0])))
         total = (
@@ -687,10 +677,10 @@ def _all_pairs_check(table: PsiTable, hyp: DecayHypothesis) -> CheckReport:
     k in one run and h in another.  Over a tile the terms of the log
     ratio are monotone in h, because A, D > 0 and the knots strictly
     increase, and taken at their extremes in k: D log(h - k) is largest
-    at the last h and the first k, -log1p(e^a e^b) at the first h and the
-    smallest e^b (a + b at the smallest b), and -C log psi(k) at the
-    smallest C log psi(k); log psi(h) - log c1 is taken at its largest
-    over the run (values may rise by the table's slack).
+    at the last h and the first k, -log(1 + e^(a + b)) at the first h and
+    the smallest b, and -C log psi(k) at the smallest C log psi(k);
+    log psi(h) - log c1 is taken at its largest over the run (values may
+    rise by the table's slack).
     :func:`_pair_logs` fed these tile-extreme per-knot terms bounds every
     log ratio of the tile from above, up to a rounding margin
     (:func:`_bound_margin`) that covers numpy's log, log1p and exp, which
@@ -727,10 +717,10 @@ def _all_pairs_check(table: PsiTable, hyp: DecayHypothesis) -> CheckReport:
         return np.concatenate([x, np.full(tiles * _TILE - n, pad)]).reshape(tiles, _TILE)
 
     # padding reads h = -inf and k = +inf, so h - k = -inf gives ratio 0
-    h_runs = [runs(x, p) for x, p in zip((knots, *h_terms), (-math.inf, -math.inf, 0.0, 1.0))]
-    k_runs = [runs(x, p) for x, p in zip((knots, *k_terms), (math.inf, 0.0, 0.0, 1.0))]
-    log_lhs, a, ea = h_terms
-    h_tile = (np.maximum.reduceat(log_lhs, first), a[first], ea[first])
+    h_runs = [runs(x, p) for x, p in zip((knots, *h_terms), (-math.inf, -math.inf, 0.0))]
+    k_runs = [runs(x, p) for x, p in zip((knots, *k_terms), (math.inf, 0.0, 0.0))]
+    log_lhs, a = h_terms
+    h_tile = (np.maximum.reduceat(log_lhs, first), a[first])
     k_tile = tuple(np.minimum.reduceat(x, first) if np.ndim(x) else x for x in k_terms)
     zero = h_tile[0] == -math.inf
 

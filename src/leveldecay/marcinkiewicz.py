@@ -65,7 +65,7 @@ def unit_ball_volume(n: int) -> float:
     computed through ``math.lgamma``; a dimension whose volume underflows
     to 0 raises :class:`ValueError`.
     """
-    if n != int(n) or n < 1:
+    if not 1 <= n < math.inf or n != int(n):
         raise ValueError("dimension must be a positive integer")
     n = int(n)
     try:

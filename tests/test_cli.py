@@ -76,6 +76,69 @@ def test_missing_section_rejected(tmp_path, capsys):
     assert "lemma" in capsys.readouterr().err
 
 
+LADDER_32 = PROBLEM_SOBOLEV + "[grid]\ncells = 32\n"
+
+
+# (config text, or None for no file; command and options after --config;
+# first stderr line), with {dir} standing for the test's directory
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        pytest.param(
+            "[lemma]\nc1 = 1.0\nA = 1.0\nB = 0.5\nC = 0.5\nD = 2.0\n",
+            ["verify", "--psi", "{dir}/psi.csv"],
+            "error: hypothesis is Unclassified (unbalanced exponents): no envelope to verify",
+            id="verify-unclassified",
+        ),
+        pytest.param(
+            "[lemma]\nD = 2.0\n[output]\ndirectory = {dir}\n",
+            ["counterexample", "--name", "exp_power"],
+            "error: missing required key C in section [lemma]",
+            id="exp_power-without-C",
+        ),
+        pytest.param(
+            LADDER_32, ["sweep", "--r-values", ","],
+            "error: --r-values must list at least one value",
+            id="sweep-no-r",
+        ),
+        pytest.param(
+            LADDER_32, ["sweep", "--r-values", "1.5,abc"],
+            "error: --r-values must be comma-separated numbers:"
+            " could not convert string to float: 'abc'",
+            id="sweep-non-numeric-r",
+        ),
+        pytest.param(
+            PROBLEM_SOBOLEV + "[grid]\ncells = 32\nrefinements = 0\n", ["minimize"],
+            "error: refinements must be >= 1, got 0",
+            id="zero-refinements",
+        ),
+        pytest.param(
+            None, ["constants"], "error: cannot read config file {dir}/c.ini",
+            id="missing-config",
+        ),
+        pytest.param(
+            "c1 = 1.0\n", ["constants"],
+            "error: cannot parse config {dir}/c.ini: File contains no section headers.",
+            id="no-section-header",
+        ),
+        pytest.param(
+            LEMMA_POWER, ["verify", "--psi", "{dir}/missing.csv"],
+            "error: cannot read table file {dir}/missing.csv:"
+            " [Errno 2] No such file or directory: '{dir}/missing.csv'",
+            id="missing-psi",
+        ),
+    ],
+)
+def test_bad_input_exits_2_with_its_message(tmp_path, capsys, config, argv, message):
+    cfg = str(tmp_path / "c.ini")
+    if config is not None:
+        write(tmp_path / "c.ini", config.format(dir=tmp_path))
+    write(tmp_path / "psi.csv", "k,psi\n1.0,1.0\n2.0,0.5\n")
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == message.format(dir=tmp_path)
+
+
 # ---------------------------------------------------------------- subcommands
 # each subcommand's own required option, as its usage line shows it
 COMMAND_OPTIONS = {

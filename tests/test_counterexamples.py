@@ -183,6 +183,22 @@ def test_k0_for_exp_power_ends_past_the_float_spacing_and_range():
     assert overflowed.startswith("ValueError") and "float range" in overflowed
 
 
+def test_k0_for_exp_power_with_c_exp_next_to_one():
+    # p = log2(2 c_exp) is barely above 1, so the root of g for d_exp = 1e306 lies past the float max
+    message = r"^the root of g for d_exp=1e\+306, c_exp=1\.0000001 leaves the float range$"
+    with pytest.raises(ValueError, match=message):
+        k0_for_exp_power(1e306, 1.0000001)
+    # a root near 1.8e11 ends at adjacent floats: g reads 0.0 at k0 and is negative just below
+    k0 = k0_for_exp_power(1e10, 1.01)
+    assert k0 == 176802698588.37207
+    p = math.log2(2 * 1.01)
+
+    def g(k):
+        return 1.01 * k**p - 1e10 * math.log(k)
+
+    assert g(k0) == 0.0 > g(math.nextafter(k0, 0.0))
+
+
 # ---------------------------------------------------------------- violations, case ii
 def _canonical_log_square_hyp():
     return DecayHypothesis(

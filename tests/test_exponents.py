@@ -83,6 +83,12 @@ def test_problem_params_allows_linear_regime():
         classify_regime(params)
 
 
+def test_exponent_calculus_rejects_p_equal_to_n():
+    params = ProblemParams(n=4, p=4.0, alpha=0.25, r=2.0)
+    with pytest.raises(ValueError, match="^exponent calculus requires p < n$"):
+        compute_exponents(params)
+
+
 # ---------------------------------------------------------------- frozen oracles
 def test_exponents_at_r_equals_n_over_p():
     # [DERIVED]: q = 4*2*(3/4)/(4 - 1/2) = 6/(7/2) = 12/7; q* = 3;

@@ -494,6 +494,16 @@ def test_check_hypothesis_empty_pairs_error():
         check_hypothesis(t, DecayHypothesis(1.0, 1.0, 1.0, 1.0, 2.0, 0.0), AllKnotPairs())
 
 
+def test_checks_reject_a_table_below_the_hypothesis_origin():
+    table = PsiTable(knots=[0.5, 1.0, 2.0], values=[1.0, 0.5, 0.25], k0=0.5)
+    hyp = DecayHypothesis(1.0, A=2.0, B=0.75, C=0.5, D=4.0, k0=1.0)
+    message = r"^table origin k0=0\.5 lies below hypothesis k0=1\.0$"
+    with pytest.raises(ValueError, match=message):
+        check_hypothesis(table, hyp, AllKnotPairs())
+    with pytest.raises(ValueError, match=message):
+        check_envelope(table, hyp, psi_at_k0=1.0)
+
+
 def test_check_hypothesis_random_pairs_deterministic():
     t = _power_table()
     hyp = DecayHypothesis(10.0, A=1.0, B=0.5, C=0.625, D=3.0, k0=1.0)

@@ -54,7 +54,7 @@ def test_unit_ball_volume_past_the_gamma_overflow():
             unit_ball_volume(n)
 
 
-@pytest.mark.parametrize("n", [0, -1, 2.5])
+@pytest.mark.parametrize("n", [0, -1, 2.5, math.inf, -math.inf, math.nan])
 def test_dimension_is_checked_before_the_other_arguments(n):
     with pytest.raises(ValueError, match="^dimension must be a positive integer$"):
         unit_ball_volume(n)

@@ -86,7 +86,7 @@ def test_radial_grid_validation():
         RadialGrid(n=400, radius=1.0, cells=32)
 
 
-@pytest.mark.parametrize("n", [0, -1, 2.5])
+@pytest.mark.parametrize("n", [0, -1, 2.5, math.inf, -math.inf, math.nan])
 def test_radial_grid_checks_the_dimension_first(n):
     with pytest.raises(ValueError, match="^dimension must be a positive integer$"):
         RadialGrid(n=n, radius=-1.0, cells=0)
