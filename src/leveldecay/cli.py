@@ -429,29 +429,26 @@ def _cmd_minimize(cfg: configparser.ConfigParser, args: argparse.Namespace) -> i
     exps = compute_exponents(params)
     directory = _output_directory(cfg)
 
-    nodes = report.grids[-1].nodes
-    field = report.final_fields[-1].nodal_values
-    _save_csv(os.path.join(directory, "field.csv"), ("radius", "u"), zip(nodes, field))
-
-    profile = report.profiles[-1]
+    last = report.runs[-1]
+    field = last.report.final_field.nodal_values
+    _save_csv(os.path.join(directory, "field.csv"), ("radius", "u"), zip(last.grid.nodes, field))
     _save_csv(
         os.path.join(directory, "profile.csv"),
         ("k", "measure"),
-        zip(profile.levels, profile.measures),
+        zip(last.profile.levels, last.profile.measures),
     )
 
     rows = []
-    for i, cells in enumerate(report.grid_cells):
-        run = report.reports[i]
-        summary = summarize(report.profiles[i], exps)
+    for run in report.runs:
+        summary = summarize(run.profile, exps)
         fit = summary.tail_fit
         rows.append(
             (
-                cells,
-                run.status,
-                run.iterations,
-                run.energy_trace[-1],
-                report.max_u[i],
+                run.grid.cells,
+                run.report.status,
+                run.report.iterations,
+                run.report.energy_trace[-1],
+                run.max_u,
                 -summary.predicted_slope if summary.predicted_slope is not None else None,
                 fit.slope if fit is not None else None,
             )
@@ -465,12 +462,12 @@ def _cmd_minimize(cfg: configparser.ConfigParser, args: argparse.Namespace) -> i
     _print_kv(
         [
             ("regime", report.regime.value),
-            ("status", report.reports[-1].status),
-            ("max_u", report.max_u[-1]),
+            ("status", last.report.status),
+            ("max_u", last.max_u),
             ("directory", directory),
         ]
     )
-    return 0 if any(run.converged for run in report.reports) else 1
+    return 0 if any(run.report.converged for run in report.runs) else 1
 
 
 def _fit_pairs(fit: FitResult) -> List[Tuple[str, object]]:
@@ -521,14 +518,8 @@ def _cmd_sweep(cfg: configparser.ConfigParser, args: argparse.Namespace) -> int:
     rows = []
     for params in param_sets:
         report = _experiment(cfg, params)
-        rows.append(
-            (
-                params.r,
-                report.regime.value,
-                report.max_u[-1],
-                report.reports[-1].status,
-            )
-        )
+        last = report.runs[-1]
+        rows.append((params.r, report.regime.value, last.max_u, last.report.status))
     _write_csv(sys.stdout, ("r", "regime", "max_u", "status"), rows)
     return 0
 

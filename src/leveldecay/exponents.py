@@ -11,6 +11,7 @@ once; everything downstream reads ``ExponentSet.regime``.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from math import isfinite
 
@@ -152,11 +153,13 @@ def _regime(r: float, r_low: float, r_mid: float, r_high: float) -> Regime:
     return Regime.SOBOLEV_W1P
 
 
+@functools.cache
 def compute_exponents(params: ProblemParams) -> ExponentSet:
     """Derive q, q*, the thresholds, s, rho, theta, (A, B, C, D) and the regime.
 
-    Raises ``ValueError`` where a denominator rounds to 0: p (1 - alpha) - 1
-    at the alpha p' = 1 edge, or n - r (1 + alpha p) for rho.
+    Equal parameters share one cached, frozen result.  Raises ``ValueError``
+    where a denominator rounds to 0: p (1 - alpha) - 1 at the alpha p' = 1
+    edge, or n - r (1 + alpha p) for rho.
     """
     _require_strict(params)
     n, p, alpha, r = params.n, params.p, params.alpha, params.r

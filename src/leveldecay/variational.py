@@ -25,6 +25,8 @@ dispatch, for the experiment and for stored profiles alike.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -47,6 +49,7 @@ __all__ = [
     "DiscreteField",
     "ExperimentReport",
     "FunctionalSpec",
+    "GridRun",
     "LevelsetReport",
     "MinimizeReport",
     "NonFiniteEnergyError",
@@ -124,7 +127,7 @@ class RadialGrid:
         radius = float(radius)
         if not math.isfinite(radius) or radius <= 0.0:
             raise ValueError("radius must be positive and finite")
-        if cells != int(cells) or cells < 1:
+        if not (isinstance(cells, numbers.Real) and 1 <= cells < math.inf and cells == int(cells)):
             raise ValueError("cells must be a positive integer")
         self.n = int(n)
         self.radius = radius
@@ -616,36 +619,59 @@ def levelset_inequality_check(
 # regularity experiment
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
+class GridRun:
+    """One grid of an experiment ladder.
+
+    ``report`` is the solve of ``spec`` on ``grid``; ``profile`` and
+    ``max_u`` are the distribution function and peak max|u| of its minimizer.
+    """
+
+    grid: RadialGrid
+    spec: FunctionalSpec
+    report: MinimizeReport
+    profile: DistributionProfile
+    max_u: float
+
+
+def _per_grid(path: str) -> property:
+    """A read-only view: a new list of ``path`` read off each record of ``runs``."""
+    read = operator.attrgetter(path)
+    return property(lambda self: [read(run) for run in self.runs])
+
+
+@dataclass(frozen=True)
 class ExperimentReport:
     """Summary of a warm-started grid ladder of minimizations.
 
-    At most one of the trichotomy summaries is populated, according to
-    the regime of the parameters: ``tail_fit`` with ``predicted_slope``
-    = -s (power-law tail of the distribution function) or ``exp_fit``
-    with ``theta`` (stretched-exponential tail), both from ``summarize``
-    of the finest profile, or ``stabilization_ratio`` (relative change
-    of max|u| on the last refinement, on a ladder of two or more grids).
-    Below the range none is.  Per-grid artifacts are kept for
-    downstream checks.
+    ``runs`` holds one :class:`GridRun` per grid, coarsest first, and
+    ``grid_cells`` their cell counts.  At most one of the trichotomy
+    summaries is populated, according to the regime of the parameters:
+    ``tail_fit`` with ``predicted_slope`` = -s (power-law tail of the
+    distribution function) or ``exp_fit`` with ``theta``
+    (stretched-exponential tail), both from ``summarize`` of the finest
+    profile, or ``stabilization_ratio`` (relative change of max|u| on the
+    last refinement, on a ladder of two or more grids).  Below the range
+    none is.  ``grids``, ``specs``, ``final_fields``, ``reports``,
+    ``profiles``, ``max_u`` and ``statuses`` read one field per grid off
+    ``runs``, each time into a new list.
     """
 
     grid_cells: Tuple[int, ...]
     regime: Regime
-    grids: List[RadialGrid]
-    specs: List[FunctionalSpec]
-    final_fields: List[DiscreteField]
-    reports: List[MinimizeReport]
-    profiles: List[DistributionProfile]
-    max_u: List[float]
+    runs: Tuple[GridRun, ...]
     predicted_slope: Optional[float]
     theta: Optional[float]
     tail_fit: Optional[FitResult]
     exp_fit: Optional[FitResult]
     stabilization_ratio: Optional[float]
 
-    @property
-    def statuses(self) -> List[str]:
-        return [report.status for report in self.reports]
+    grids = _per_grid("grid")
+    specs = _per_grid("spec")
+    final_fields = _per_grid("report.final_field")
+    reports = _per_grid("report")
+    profiles = _per_grid("profile")
+    max_u = _per_grid("max_u")
+    statuses = _per_grid("report.status")
 
 
 @dataclass(frozen=True)
@@ -731,57 +757,37 @@ def experiment_regularity(
     minimizer.  The source is the radial power field of the parameters'
     integrability exponent r, scaled by ``source_scale``.  The summary
     branch is selected by the regime of the parameters; see
-    ``ExperimentReport``.
+    ``ExperimentReport``.  Every cell count is checked before the first solve.
     """
-    cells_tuple = tuple(int(c) for c in grid_cells)
-    if not cells_tuple:
+    grids = [RadialGrid(n=params.n, radius=radius, cells=cells) for cells in grid_cells]
+    if not grids:
         raise ValueError("need at least one grid")
     exps = compute_exponents(params)
 
-    grids: List[RadialGrid] = []
-    specs: List[FunctionalSpec] = []
-    fields: List[DiscreteField] = []
-    reports: List[MinimizeReport] = []
-    profiles: List[DistributionProfile] = []
-    max_u: List[float] = []
-
-    previous: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    for cells in cells_tuple:
-        grid = RadialGrid(n=params.n, radius=radius, cells=cells)
+    runs: List[GridRun] = []
+    for grid in grids:
         source = power_source(grid.nodes, n=params.n, r=params.r, scale=source_scale)
         spec = FunctionalSpec(params=params, source=source.cell_values, epsilon=epsilon)
-        if previous is None:
-            start = np.zeros(cells + 1)
-        else:
-            start = np.interp(grid.nodes, previous[0], previous[1])
+        start = np.zeros(grid.cells + 1)
+        if runs:
+            last = runs[-1]
+            start = np.interp(grid.nodes, last.grid.nodes, last.report.final_field.nodal_values)
             start[-1] = 0.0
         report = minimize(grid, spec, DiscreteField(start), tolerances)
         solution = report.final_field
         peak = float(np.abs(solution.nodal_values).max())
         profile = level_profile(solution, grid, _profile_levels(exps.regime, peak))
+        runs.append(GridRun(grid, spec, report, profile, peak))
 
-        grids.append(grid)
-        specs.append(spec)
-        fields.append(solution)
-        reports.append(report)
-        profiles.append(profile)
-        max_u.append(peak)
-        previous = (grid.nodes, solution.nodal_values)
-
-    summary = summarize(profiles[-1], exps)
+    summary = summarize(runs[-1].profile, exps)
     stabilization_ratio: Optional[float] = None
-    if exps.regime is Regime.BOUNDED and len(max_u) >= 2 and max_u[-2] > 0.0:
-        stabilization_ratio = abs(max_u[-1] - max_u[-2]) / max_u[-2]
+    if exps.regime is Regime.BOUNDED and len(runs) >= 2 and runs[-2].max_u > 0.0:
+        stabilization_ratio = abs(runs[-1].max_u - runs[-2].max_u) / runs[-2].max_u
 
     return ExperimentReport(
-        grid_cells=cells_tuple,
+        grid_cells=tuple(grid.cells for grid in grids),
         regime=exps.regime,
-        grids=grids,
-        specs=specs,
-        final_fields=fields,
-        reports=reports,
-        profiles=profiles,
-        max_u=max_u,
+        runs=tuple(runs),
         predicted_slope=summary.predicted_slope,
         theta=summary.theta,
         tail_fit=summary.tail_fit,

@@ -89,6 +89,28 @@ def test_exponent_calculus_rejects_p_equal_to_n():
         compute_exponents(params)
 
 
+def test_compute_exponents_returns_one_result_per_parameter_set():
+    first = compute_exponents(ProblemParams(n=4, p=2.0, alpha=0.25, r=1.75))
+    assert compute_exponents(ProblemParams(n=4, p=2.0, alpha=0.25, r=1.75)) is first
+    assert compute_exponents(ProblemParams(n=4, p=2.0, alpha=0.25, r=1.6)) is not first
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ((2, 2.0, 0.0, 2.0), "^exponent calculus requires alpha > 0$"),
+        ((4, 4.0, 0.25, 2.0), "^exponent calculus requires p < n$"),
+        ((3, 1.0000001, 9.99999900583876e-08, 2.0), "C is unbounded"),
+        ((2, 1.0891160533213218, 0.08182420326057739, 1.836351593478845), "rho is unbounded"),
+    ],
+    ids=["alpha", "p", "C", "rho"],
+)
+def test_compute_exponents_raises_again_on_a_second_call(params, message):
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            compute_exponents(ProblemParams(*params))
+
+
 # ---------------------------------------------------------------- frozen oracles
 def test_exponents_at_r_equals_n_over_p():
     # [DERIVED]: q = 4*2*(3/4)/(4 - 1/2) = 6/(7/2) = 12/7; q* = 3;

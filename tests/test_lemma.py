@@ -1002,7 +1002,7 @@ def test_log_sum_matches_logaddexp():
     assert equal.sum() >= 100 and np.array_equal(got[equal], want[equal])
 
 
-# The pair kernel before the log-sum was split into per-knot exponentials:
+# The pair kernel's formula as written, with no term taken once per knot:
 # one two-term log-sum of A log h + B log psi(k) and C log psi(k) per pair.
 def _pair_scan_oracle(h, k, lhs, base, c1, A, B, C, D):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -1030,9 +1030,8 @@ def _pair_kernel_inputs(draw):
     """Kernel arguments in 1-D or row-against-column shape.
 
     Knots span 1e-300 to 1e300 and A reaches 3, so h**A and
-    psi(k)**(B-C) leave the float range and the product of the two
-    exponentials reads inf or 0 * inf on some entries; B is drawn below,
-    equal to or above C.
+    psi(k)**(B-C) leave the float range on some entries, where only
+    their logs are finite; B is drawn below, equal to or above C.
     """
     exponents = st.floats(-300.0, 300.0)
     if draw(st.booleans()):
@@ -1084,9 +1083,9 @@ def test_pair_scan_matches_per_pair_log_sum_oracle(args):
         assert over == want_over
 
 
-def test_pair_scan_recomputes_overflowing_products():
+def test_pair_scan_terms_beyond_the_float_range():
     # h**A = 1e900 and psi(k)**(B-C) = 1e720 leave the float range, and
-    # psi(k) = 0 gives the product inf * 0; each such entry is recomputed.
+    # psi(k) = 0 has log -inf; the kernel takes each term as a log.
     h = np.array([[2.0, 1e300]])
     k = np.array([[1.0], [1.0], [1.0]])
     lhs = np.array([[0.5, 1e-300]])
@@ -1098,8 +1097,8 @@ def test_pair_scan_recomputes_overflowing_products():
     assert np.all(np.isfinite(ratios[[0, 2]]))
     assert ratios[[0, 2]] == pytest.approx(want[[0, 2]], rel=1e-12, abs=0.0)
     assert (worst, over) == (want_worst, want_over) == (2, 0)
-    # h**A = 1e-750 reads 0 and psi(k)**(B-C) = 1e750 reads inf, but their
-    # product is 1: the recomputed log1p term must be log 2, not 0 or nan
+    # h**A = 1e-750 would read 0 and psi(k)**(B-C) = 1e750 inf, but their
+    # product is 1: the log-sum of the two terms must be log 2, not 0 or nan
     args = (np.array([1e-250]), np.array([0.0]), np.array([1.0]), np.array([1e-300]),
             1.0, 3.0, 0.1, 2.6, 3.5)
     ratios, _, _ = lemma._pair_scan(*args)

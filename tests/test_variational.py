@@ -33,6 +33,7 @@ from leveldecay.marcinkiewicz import (
 from leveldecay.variational import (
     DiscreteField,
     FunctionalSpec,
+    GridRun,
     NonFiniteEnergyError,
     RadialGrid,
     SolverTolerances,
@@ -84,6 +85,29 @@ def test_radial_grid_validation():
     # (1/32)**400 underflows: the inner shells would have measure 0
     with pytest.raises(ValueError, match=r"leave the float range for radius = 1.0, n = 400$"):
         RadialGrid(n=400, radius=1.0, cells=32)
+
+
+@pytest.mark.parametrize("cells", [32.7, math.inf, math.nan])
+def test_cell_counts_that_are_not_positive_integers_are_rejected(cells):
+    with pytest.raises(ValueError, match="^cells must be a positive integer$"):
+        RadialGrid(n=4, radius=1.0, cells=cells)
+    params = ProblemParams(n=4, p=2.0, alpha=0.25, r=1.75)
+    with pytest.raises(ValueError, match="^cells must be a positive integer$"):
+        experiment_regularity(params, (cells,), SolverTolerances(max_iters=100))
+
+
+def test_experiment_takes_its_cell_counts_from_the_grids():
+    params = ProblemParams(n=4, p=2.0, alpha=0.25, r=1.75)
+    rep = experiment_regularity(params, (64.0,), SolverTolerances(max_iters=1500))
+    assert rep.grid_cells == (64,) and type(rep.grid_cells[0]) is int
+    assert rep.runs[0].grid.cells == 64 and rep.runs[0].grid.nodes.size == 65
+    # a string is not a cell count, although int() would read it as one
+    with pytest.raises(ValueError):
+        RadialGrid(n=4, radius=1.0, cells="64")
+    with pytest.raises(ValueError):
+        experiment_regularity(params, ("64",), SolverTolerances(max_iters=100))
+    with pytest.raises(ValueError, match="^need at least one grid$"):
+        experiment_regularity(params, (), SolverTolerances(max_iters=100))
 
 
 @pytest.mark.parametrize("n", [0, -1, 2.5, math.inf, -math.inf, math.nan])
@@ -1012,3 +1036,36 @@ def test_experiment_zero_source():
     assert rep.max_u == [0.0]
     assert rep.tail_fit is None
     assert len(rep.profiles[0].levels) == 0
+
+
+def test_experiment_views_read_the_records_in_order(trichotomy_runs):
+    views = {
+        "grids": lambda run: run.grid,
+        "specs": lambda run: run.spec,
+        "final_fields": lambda run: run.report.final_field,
+        "reports": lambda run: run.report,
+        "profiles": lambda run: run.profile,
+        "max_u": lambda run: run.max_u,
+        "statuses": lambda run: run.report.status,
+    }
+    for report in trichotomy_runs.values():
+        assert isinstance(report.runs, tuple)
+        assert all(isinstance(run, GridRun) for run in report.runs)
+        assert report.grid_cells == tuple(run.grid.cells for run in report.runs)
+        for name, read in views.items():
+            view = getattr(report, name)
+            assert type(view) is list and len(view) == len(report.runs)
+            assert all(got is read(run) for got, run in zip(view, report.runs)), name
+
+
+def test_experiment_views_are_new_lists():
+    params = ProblemParams(n=4, p=2.0, alpha=0.25, r=3.0)
+    rep = experiment_regularity(params, (32, 64), SolverTolerances(max_iters=1500))
+    peaks, statuses = list(rep.max_u), rep.statuses
+    for name in ("grids", "specs", "final_fields", "reports", "profiles", "max_u", "statuses"):
+        view = getattr(rep, name)
+        view.append(1.0)
+        view[0] = None
+        assert getattr(rep, name) is not view and len(getattr(rep, name)) == 2
+    assert rep.max_u == peaks and rep.statuses == statuses
+    assert rep.runs[0].max_u == peaks[0]
