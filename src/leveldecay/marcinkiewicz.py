@@ -77,6 +77,32 @@ def unit_ball_volume(n: int) -> float:
     return volume
 
 
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only float64 array: kept if it is one (its owner must
+    not change it through another view), else copied once and frozen."""
+    if type(values) is np.ndarray and values.dtype == np.float64 and not values.flags.writeable:
+        return values
+    array = np.array(values, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
+def _float_range_error(radius: float, n: int) -> ValueError:
+    return ValueError(f"shell measures leave the float range for radius = {float(radius)}, n = {n}")
+
+
+def _weighted_powers(levels: np.ndarray, power: float, measures: np.ndarray) -> np.ndarray:
+    """``levels ** power * measures`` where finite, else through logs (a zero measure adds 0)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = levels**power * measures
+    if not products.max() < math.inf:  # the products are >= 0 or NaN, and max() propagates NaN
+        off = ~np.isfinite(products)
+        mu = measures[off]
+        with np.errstate(all="ignore"):
+            products[off] = np.where(mu > 0.0, np.exp(power * np.log(levels[off]) + np.log(mu)), 0.0)
+    return products
+
+
 # --------------------------------------------------------------------------
 # distribution profiles
 # --------------------------------------------------------------------------
@@ -86,7 +112,8 @@ class DistributionProfile:
 
     ``measures[i]`` is the measure of the superlevel set at ``levels[i]``
     (ties at the level are counted in, so the map is right-continuous from
-    below).  ``total_measure`` is the measure of the whole domain.
+    below).  ``total_measure`` is the measure of the whole domain.  Read-only
+    float64 levels and measures are kept, others copied once and frozen.
     """
 
     levels: np.ndarray
@@ -94,10 +121,8 @@ class DistributionProfile:
     total_measure: float
 
     def __post_init__(self) -> None:
-        levels = np.array(self.levels, dtype=float)
-        measures = np.array(self.measures, dtype=float)
-        levels.setflags(write=False)
-        measures.setflags(write=False)
+        levels = _frozen(self.levels)
+        measures = _frozen(self.measures)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "measures", measures)
         object.__setattr__(self, "total_measure", float(self.total_measure))
@@ -105,13 +130,16 @@ class DistributionProfile:
             raise ValueError("levels and measures must be one-dimensional")
         if levels.shape != measures.shape:
             raise ValueError("levels and measures must have equal length")
-        if not (np.isfinite(levels).all() and np.isfinite(measures).all()):
-            raise ValueError("levels and measures must be finite")
-        if levels.size and levels.min() < 0.0:
-            raise ValueError("levels must be nonnegative")
-        if (levels[1:] <= levels[:-1]).any():
-            raise ValueError("levels must be strictly increasing")
-        if measures.size and measures.min() < 0.0:
+        # levels rising strictly from a nonnegative first to a finite last one are finite
+        rising = (levels[1:] > levels[:-1]).all()
+        if levels.size and not (levels[0] >= 0.0 and levels[-1] < math.inf and rising
+                                and measures.min() >= 0.0 and measures.max() < math.inf):  # NaN fails
+            if not (np.isfinite(levels).all() and np.isfinite(measures).all()):
+                raise ValueError("levels and measures must be finite")
+            if levels.min() < 0.0:
+                raise ValueError("levels must be nonnegative")
+            if (levels[1:] <= levels[:-1]).any():
+                raise ValueError("levels must be strictly increasing")
             raise ValueError("measures must be nonnegative")
         rises = measures[1:] - measures[:-1]
         if (rises > _MONOTONE_SLACK * np.maximum(measures[:-1], 1.0)).any():
@@ -133,6 +161,7 @@ class _LevelIndex:
     field, one comparison pass finds the stable order to be the identity:
     ``keys`` is -|v| itself and ``prefix`` the plain cumulative weight,
     bitwise the same as through the sort, with no order array or gathers.
+    Neither input is copied; ``keys`` and ``prefix`` are read-only.
     """
 
     __slots__ = ("keys", "prefix")
@@ -144,29 +173,34 @@ class _LevelIndex:
             raise ValueError("values and weights must be one-dimensional")
         if vals.shape != w.shape:
             raise ValueError("values and weights must have equal length")
-        if not (np.isfinite(vals).all() and np.isfinite(w).all()):
-            raise ValueError("values and weights must be finite")
-        if w.size and w.min() < 0.0:
-            raise ValueError("weights must be nonnegative")
         neg = np.abs(vals)
         np.negative(neg, out=neg)
-        self.prefix = np.zeros(vals.size + 1)
-        if (neg[1:] >= neg[:-1]).all():
-            self.keys = neg
-            np.cumsum(w, out=self.prefix[1:])
-            return
-        order = np.argsort(neg, kind="stable")
-        self.keys = neg[order]
+        order = None if (neg[1:] >= neg[:-1]).all() else np.argsort(neg, kind="stable")
+        keys = self.keys = neg if order is None else neg[order]
         del neg  # freed before the gathered weights are taken: a lower peak
-        np.cumsum(w[order], out=self.prefix[1:])
+        # NaN fails every order test and sorts last, -inf can only lead; min() propagates NaN
+        if keys.size and not (keys[0] > -math.inf and keys[-1] <= 0.0 and w.min() >= 0.0):
+            if not (np.isfinite(vals).all() and np.isfinite(w).all()):
+                raise ValueError("values and weights must be finite")
+            raise ValueError("weights must be nonnegative")
+        prefix = self.prefix = np.empty(vals.size + 1)
+        prefix[0] = 0.0
+        np.cumsum(w if order is None else w[order], out=prefix[1:])
+        # nonnegative weights sum to inf only through an inf weight or an overflow
+        if prefix[-1] == math.inf and not np.isfinite(w).all():
+            raise ValueError("values and weights must be finite")
+        keys.setflags(write=False)
+        prefix.setflags(write=False)
 
     def measures(self, levels) -> np.ndarray:
         """Measures of {|v| >= k} for an array of levels k in any order, repeats allowed."""
         return self.prefix[np.searchsorted(self.keys, np.negative(levels), side="right")]
 
     def profile(self, levels) -> DistributionProfile:
-        lv = np.asarray(levels, dtype=float)
-        return DistributionProfile(levels=lv, measures=self.measures(lv), total_measure=self.prefix[-1])
+        lv = _frozen(levels)
+        measures = self.measures(lv)
+        measures.setflags(write=False)  # so the profile keeps it without a copy
+        return DistributionProfile(levels=lv, measures=measures, total_measure=self.prefix[-1])
 
 
 def distribution_function(values, weights, levels) -> DistributionProfile:
@@ -208,7 +242,7 @@ def weak_norm_estimate(prof: DistributionProfile, r: float) -> WeakNormEstimate:
         raise ValueError("r must be positive and finite")
     if prof.levels.size == 0:
         return WeakNormEstimate(r=r, norm_estimate=0.0, attained_at=None)
-    contributions = prof.levels**r * prof.measures
+    contributions = _weighted_powers(prof.levels, r, prof.measures)
     best = int(np.argmax(contributions))
     value = float(contributions[best])
     if value <= 0.0:
@@ -313,14 +347,9 @@ def summability_test(prof: DistributionProfile, r: float, k_top: int) -> Summabi
     if k_top < 10:
         raise ValueError("k_top must be at least 10")
     ks = np.arange(1, k_top + 1, dtype=float)
-    if prof.levels.size == 0:
-        mus = np.full(k_top, prof.total_measure)
-    else:
-        idx = np.searchsorted(prof.levels, ks, side="right") - 1
-        mus = np.where(
-            idx >= 0, prof.measures[np.maximum(idx, 0)], prof.total_measure
-        )
-    partial_sums = np.cumsum(ks ** (r - 1.0) * mus)
+    steps = np.concatenate(([prof.total_measure], prof.measures))
+    mus = steps[np.searchsorted(prof.levels, ks, side="right")]
+    partial_sums = np.cumsum(_weighted_powers(ks, r - 1.0, mus))
     partial_sums.setflags(write=False)
     total = float(partial_sums[-1])
     if total <= 0.0:
@@ -413,15 +442,18 @@ def power_source(nodes, n: int, r: float, scale: float) -> PowerSource:
         avg = scale * (n/m) * (r2^m - r1^m) / (r2^n - r1^n),   m = n (1 - 1/r),
 
     which is exact (m > 0 because r > 1, so the origin cell is integrable).
+    Read-only float64 nodes (a ``RadialGrid``'s) are kept, others copied once
+    and frozen.  A shell r2^n - r1^n past the float range raises ValueError.
     """
     omega = unit_ball_volume(n)
     n = int(n)
-    nodes = np.array(nodes, dtype=float)
+    nodes = _frozen(nodes)
     if nodes.ndim != 1 or nodes.size < 2:
         raise ValueError("nodes must be a one-dimensional grid with >= 2 entries")
-    if not np.isfinite(nodes).all():
-        raise ValueError("nodes must be finite")
-    if nodes[0] < 0.0 or (nodes[1:] <= nodes[:-1]).any():
+    # strictly increasing from a nonnegative first to a finite last node: every node is finite
+    if not (nodes[0] >= 0.0 and nodes[-1] < math.inf and (nodes[1:] > nodes[:-1]).all()):
+        if not np.isfinite(nodes).all():
+            raise ValueError("nodes must be finite")
         raise ValueError("nodes must be nonnegative and strictly increasing")
     r = float(r)
     scale = float(scale)
@@ -429,6 +461,10 @@ def power_source(nodes, n: int, r: float, scale: float) -> PowerSource:
         raise ValueError("r must exceed 1")
     if not math.isfinite(scale) or scale < 0.0:
         raise ValueError("scale must be finite and nonnegative")
+    try:  # the largest power first, so that no power of a node overflows below
+        span = float(nodes[-1]) ** n - float(nodes[0]) ** n
+    except OverflowError:
+        raise _float_range_error(nodes[-1], n) from None
     m = n * (1.0 - 1.0 / r)
     # scale * (n/m) * diff(nodes**m) / diff(nodes**n), in place and in that order
     powers_m = nodes**m
@@ -436,10 +472,10 @@ def power_source(nodes, n: int, r: float, scale: float) -> PowerSource:
     np.multiply(scale * (n / m), cell_values, out=cell_values)
     powers_n = nodes**n
     shells = np.subtract(powers_n[1:], powers_n[:-1], out=powers_m[:-1])
+    if not shells.min() > 0.0:
+        raise _float_range_error(nodes[-1], n)
     np.divide(cell_values, shells, out=cell_values)
-    nodes.setflags(write=False)
     cell_values.setflags(write=False)
-    total = omega * float(nodes[-1] ** n - nodes[0] ** n)
     return PowerSource(
-        nodes=nodes, n=n, r=r, scale=scale, cell_values=cell_values, total_measure=total
+        nodes=nodes, n=n, r=r, scale=scale, cell_values=cell_values, total_measure=omega * span
     )

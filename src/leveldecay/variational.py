@@ -39,6 +39,8 @@ from .marcinkiewicz import (
     FitResult,
     InsufficientPointsError,
     _LevelIndex,
+    _float_range_error,
+    _frozen,
     exp_integrability_fit,
     power_source,
     tail_exponent_fit,
@@ -136,9 +138,7 @@ class RadialGrid:
         with np.errstate(over="ignore", invalid="ignore"):
             measures = volume * np.diff(nodes ** self.n)
         if not ((measures > 0.0) & (measures < math.inf)).all():
-            raise ValueError(
-                f"shell measures leave the float range for radius = {radius}, n = {self.n}"
-            )
+            raise _float_range_error(radius, self.n)
         nodes.setflags(write=False)
         measures.setflags(write=False)
         self.nodes = nodes
@@ -149,6 +149,7 @@ class RadialGrid:
 class DiscreteField:
     """Continuous piecewise-linear radial field with zero boundary trace.
 
+    Read-only float64 nodal values are kept, others copied once and frozen.
     The field keeps the sorted level index of its last ``level_profile``
     grid, keyed on that grid's ``cell_measures`` array, so measuring it
     again on the same grid skips building it; the index costs 16 bytes per
@@ -159,14 +160,13 @@ class DiscreteField:
     __slots__ = ("nodal_values", "_level_index")
 
     def __init__(self, nodal_values):
-        vals = np.array(nodal_values, dtype=float)
+        vals = _frozen(nodal_values)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("a field needs at least two nodal values")
         if not np.isfinite(vals).all():
             raise ValueError("nodal values must be finite")
         if vals[-1] != 0.0:
             raise ValueError("the boundary trace must vanish")
-        vals.setflags(write=False)
         self.nodal_values = vals
         self._level_index: Optional[Tuple[np.ndarray, _LevelIndex]] = None
 
@@ -176,6 +176,7 @@ class FunctionalSpec:
     """Problem parameters, cell-averaged source and gradient regularization.
 
     ``epsilon`` must be finite and nonnegative, with ``epsilon ** p`` a float.
+    A read-only float64 source is kept, others copied once and frozen.
     """
 
     params: ProblemParams
@@ -183,12 +184,11 @@ class FunctionalSpec:
     epsilon: float
 
     def __post_init__(self) -> None:
-        source = np.array(self.source, dtype=float)
+        source = _frozen(self.source)
         if source.ndim != 1:
             raise ValueError("source must be one-dimensional")
         if not np.isfinite(source).all():
             raise ValueError("source must be finite")
-        source.setflags(write=False)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "epsilon", float(self.epsilon))
         if not math.isfinite(self.epsilon) or self.epsilon < 0.0:

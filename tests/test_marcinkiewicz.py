@@ -7,6 +7,7 @@ the oracle of its one-sort prefix-sum form, whose argsort path is in turn
 the oracle of the sort-free path for already ordered fields.
 """
 import math
+import re
 
 import mpmath
 
@@ -28,6 +29,7 @@ from leveldecay.marcinkiewicz import (
     unit_ball_volume,
     weak_norm_estimate,
 )
+from leveldecay.variational import RadialGrid
 
 
 # ---------------------------------------------------------------- geometry
@@ -317,6 +319,23 @@ def test_validators_accept_and_reject_as_before(drawn):
         assert _error(lambda: _LevelIndex(levels, measures)) == _level_index_error_before(levels, measures)
 
 
+@pytest.mark.parametrize("levels, measures", [
+    ([1.0, 2.0], [1.0, math.inf]),
+    ([1.0, 2.0], [math.inf, 1.0]),
+    ([1.0, 2.0], [math.inf, math.inf]),  # inf - inf in the rises would warn
+    ([1.0, 2.0], [1.0, math.nan]),
+    ([1.0, 2.0], [-math.inf, -math.inf]),
+    ([1.0, math.inf], [1.0, 0.5]),
+    ([-math.inf, 1.0], [1.0, 0.5]),
+    ([math.nan], [1.0]),
+])
+def test_validators_name_a_non_finite_entry_first(levels, measures):
+    assert _profile_error_before(levels, measures, 3.0) == "levels and measures must be finite"
+    assert _error(lambda: DistributionProfile(levels, measures, 3.0)) == "levels and measures must be finite"
+    for values, weights in ((levels, measures), (measures, levels)):
+        assert _error(lambda: _LevelIndex(values, weights)) == _level_index_error_before(values, weights)
+
+
 # ---------------------------------------------------------------- weak norm
 def test_weak_norm_power_source_disk():
     # [DERIVED]: |{|x|^{-1} > t}| = pi * t^{-2} on the unit disk, so the
@@ -360,6 +379,15 @@ def test_weak_norm_monotone_under_refinement():
     coarse = distribution_function(src.cell_values, w, np.geomspace(1, 100, 50))
     fine = distribution_function(src.cell_values, w, np.geomspace(1, 100, 500))
     assert weak_norm_estimate(fine, r).norm_estimate >= weak_norm_estimate(coarse, r).norm_estimate
+
+
+def test_weak_norm_empty_levels_contribute_zero():
+    # 1e200^2 overflows, and inf * 0 read NaN; the supremum sampled is 2 at level 1
+    est = weak_norm_estimate(DistributionProfile([1.0, 1e200], [2.0, 0.0], 3.0), 2.0)
+    assert (est.norm_estimate, est.attained_at) == (2.0, 1.0)
+    # 1e400 * 1e-300 is 1e100, inside the float range
+    est = weak_norm_estimate(DistributionProfile([1.0, 1e200], [2.0, 1e-300], 3.0), 2.0)
+    assert est.norm_estimate == pytest.approx(1e100, rel=1e-12) and est.attained_at == 1e200
 
 
 # ---------------------------------------------------------------- fits
@@ -456,6 +484,28 @@ def test_summability_step_convention():
     assert res.partial_sums[-1] == pytest.approx(9 * 1.0 + 11 * 0.25, rel=1e-12)
 
 
+def test_summability_empty_levels_contribute_zero():
+    # k^399 overflows from k = 6 on, where mu(k) = 0: each such term is 0, not inf * 0 = NaN
+    res = summability_test(DistributionProfile([1.0, 2.0], [2.0, 0.0], 3.0), 400.0, 10)
+    assert res.partial_sums.tolist() == [2.0] * 10 and res.convergent
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    levels=st.lists(st.floats(0.0, 60.0), max_size=12, unique=True).map(sorted),
+    r=st.floats(0.1, 5.0),
+    k_top=st.integers(10, 80),
+)
+def test_summability_step_convention_matches_the_masked_lookup_bitwise(levels, r, k_top):
+    measures = np.linspace(2.0, 0.0, len(levels))
+    prof = DistributionProfile(levels, measures, 2.5)
+    ks = np.arange(1, k_top + 1, dtype=float)
+    idx = np.searchsorted(prof.levels, ks, side="right") - 1
+    mus = np.where(idx >= 0, measures[np.maximum(idx, 0)], 2.5) if levels else np.full(k_top, 2.5)
+    want = np.cumsum(ks ** (r - 1.0) * mus)
+    assert summability_test(prof, r, k_top).partial_sums.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------- integral bound
 def test_integral_bound_empty_set():
     chk = integral_bound_check(
@@ -541,6 +591,150 @@ def test_power_source_domain_errors():
         power_source(nodes, n=2, r=1.0, scale=1.0)
     with pytest.raises(ValueError):
         power_source(nodes, n=2, r=2.0, scale=-1.0)
+
+
+def _power_source_error_before(nodes, n, r, scale):
+    """First message of ``power_source``'s checks as run one by one, in order, or None."""
+    try:
+        unit_ball_volume(n)
+    except ValueError as exc:
+        return str(exc)
+    nodes = np.array(nodes, dtype=float)
+    if nodes.ndim != 1 or nodes.size < 2:
+        return "nodes must be a one-dimensional grid with >= 2 entries"
+    if not np.all(np.isfinite(nodes)):
+        return "nodes must be finite"
+    if nodes[0] < 0.0 or np.any(np.diff(nodes) <= 0.0):
+        return "nodes must be nonnegative and strictly increasing"
+    if not math.isfinite(r) or r <= 1.0:
+        return "r must exceed 1"
+    if not math.isfinite(scale) or scale < 0.0:
+        return "scale must be finite and nonnegative"
+    with np.errstate(over="ignore", invalid="ignore"):
+        shells = np.diff(nodes ** int(n))
+    if not np.all((shells > 0.0) & (shells < math.inf)):
+        return f"shell measures leave the float range for radius = {nodes[-1]}, n = {int(n)}"
+    return None
+
+
+@st.composite
+def _node_inputs(draw):
+    """Zero to three nodes, sorted, tied or decreasing, with a special value, or as a 2-d array."""
+    nodes = draw(st.lists(st.floats(0.0, 10.0), max_size=3))
+    order = draw(st.sampled_from(["increasing", "increasing", "raw", "decreasing"]))
+    if order != "raw":
+        nodes.sort(reverse=order == "decreasing")
+    if len(nodes) > 1 and draw(st.integers(0, 3)) == 0:
+        nodes[1] = nodes[0]  # a tie
+    if nodes and draw(st.booleans()):
+        nodes[draw(st.integers(0, len(nodes) - 1))] = draw(_SPECIAL)
+    if draw(st.integers(0, 7)) == 0:
+        nodes = [nodes]
+    n = draw(st.sampled_from([1, 2, 4, 4, 0, 2.5]))
+    r = draw(st.sampled_from([1.75, 1.75, 3.0, 1.0, math.nan]))
+    scale = draw(st.sampled_from([1.0, 1.0, 0.0, -1.0, math.inf]))
+    return nodes, n, r, scale
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=_node_inputs())
+@example(drawn=([math.nan, 1.0], 4, 1.75, 1.0))
+@example(drawn=([0.0, math.inf], 4, 1.75, 1.0))
+@example(drawn=([-math.inf, 1.0], 4, 1.75, 1.0))
+@example(drawn=([-1.0, 1.0, math.nan], 4, 1.75, 1.0))  # nonnegativity fails first, finiteness is checked first
+@example(drawn=([0.0, 1.0, 1.0], 4, 1.75, 1.0))
+@example(drawn=([[0.0, 1.0, 2.0]], 4, 1.75, 1.0))
+@example(drawn=([0.0, 1e308], 2, 1.75, 1.0))
+def test_power_source_rejects_as_its_checks_in_order(drawn):
+    nodes, n, r, scale = drawn
+    assert _error(lambda: power_source(nodes, n, r, scale)) == _power_source_error_before(nodes, n, r, scale)
+
+
+def _power_source_reference(nodes, n, r, scale):
+    """Cell values and total measure as the two-power expression computes them."""
+    m = n * (1.0 - 1.0 / r)
+    r1, r2 = nodes[:-1], nodes[1:]
+    values = scale * (n / m) * (r2**m - r1**m) / (r2**n - r1**n)
+    return values, unit_ball_volume(n) * float(nodes[-1] ** n - nodes[0] ** n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    radius=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    cells=st.integers(1, 3000),
+    r=st.floats(1.05, 8.0),
+    scale=st.floats(0.0, 10.0),
+    free=st.booleans(),
+)
+def test_power_source_matches_the_two_power_expression_on_grids(n, radius, cells, r, scale, free):
+    nodes = RadialGrid(n=n, radius=radius, cells=cells).nodes
+    if free:  # a non-uniform, writeable node array
+        nodes = nodes * np.linspace(0.5, 1.0, nodes.size)
+    values, total = _power_source_reference(nodes, n, r, scale)
+    src = power_source(nodes, n=n, r=r, scale=scale)
+    assert src.cell_values.tobytes() == values.tobytes()
+    assert src.total_measure == total
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), exponent=st.floats(-80.0, 80.0), cells=st.integers(1, 64))
+def test_power_source_works_on_every_grid_radial_grid_accepts(n, exponent, cells):
+    try:
+        grid = RadialGrid(n=n, radius=10.0**exponent, cells=cells)
+    except ValueError:
+        return
+    src = power_source(grid.nodes, n=n, r=1.75, scale=1.0)
+    assert np.isfinite(src.cell_values).all() and (src.cell_values > 0.0).all()
+
+
+@pytest.mark.parametrize("nodes, radius", [([0.0, 1.0, 1e100], 1e100), ([0.0, 1e-100, 1.0], 1.0)])
+def test_power_source_rejects_shells_past_the_float_range(nodes, radius):
+    # the fourth powers overflow (1e400) or underflow to a zero shell (1e-400);
+    # RuntimeWarnings are errors here, so none is emitted either
+    message = f"shell measures leave the float range for radius = {radius}, n = 4"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        power_source(nodes, 4, 1.5, 1.0)
+
+
+def _read_only(values):
+    array = np.array(values, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
+def test_measure_constructors_keep_read_only_arrays():
+    grid = RadialGrid(n=4, radius=1.0, cells=8)
+    src = power_source(grid.nodes, n=4, r=1.75, scale=1.0)
+    assert src.nodes is grid.nodes and not src.cell_values.flags.writeable
+    levels, measures = _read_only([1.0, 2.0]), _read_only([2.0, 1.0])
+    prof = DistributionProfile(levels, measures, 3.0)
+    assert prof.levels is levels and prof.measures is measures
+    index = _LevelIndex(src.cell_values, grid.cell_measures)
+    assert not (index.keys.flags.writeable or index.prefix.flags.writeable)
+    prof = index.profile(levels)
+    assert prof.levels is levels and not prof.measures.flags.writeable
+    assert distribution_function(src.cell_values, grid.cell_measures, levels).levels is levels
+
+
+def test_measure_constructors_copy_writeable_inputs_and_convert_lists():
+    nodes, levels, measures = np.array([0.0, 1.0, 2.0]), np.array([1.0, 3.0]), np.array([2.0, 1.0])
+    src = power_source(nodes, n=2, r=2.0, scale=1.0)
+    prof = DistributionProfile(levels, measures, 3.0)
+    index = _LevelIndex(measures, levels)  # as values and weights
+    index_profile = index.profile(levels)
+    before = [src.nodes.copy(), prof.levels.copy(), prof.measures.copy(), index.keys.copy(),
+              index.prefix.copy(), index_profile.levels.copy()]
+    for array in (nodes, levels, measures):
+        array[:] = -7.0
+    after = [src.nodes, prof.levels, prof.measures, index.keys, index.prefix, index_profile.levels]
+    for old, new in zip(before, after):
+        assert np.array_equal(old, new) and not new.flags.writeable
+    src = power_source([0, 1, 2], n=2, r=2, scale=1)
+    assert src.nodes.dtype == np.float64 and src.cell_values.tolist() == pytest.approx([2.0, 2 / 3])
+    prof = DistributionProfile([1, 2], [2, 1], 3)
+    assert prof.levels.dtype == prof.measures.dtype == np.float64 and not prof.levels.flags.writeable
+    assert distribution_function([3, 1], [1, 2], [1, 3]).measures.tolist() == [3.0, 1.0]
 
 
 def test_embedding_sanity_lr_diverges_lr_minus_eps_converges():

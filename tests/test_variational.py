@@ -140,6 +140,27 @@ def test_discrete_field_zero_trace_enforced():
         DiscreteField([0.0])
 
 
+def test_field_and_spec_keep_read_only_arrays_and_copy_writeable_ones():
+    grid = RadialGrid(n=4, radius=1.0, cells=8)
+    source = power_source(grid.nodes, n=4, r=1.75, scale=1.0).cell_values
+    params = ProblemParams(n=4, p=2.0, alpha=0.25, r=1.75)
+    assert FunctionalSpec(params=params, source=source, epsilon=1e-6).source is source
+    nodal = np.linspace(1.0, 0.0, 9)
+    nodal.setflags(write=False)
+    assert DiscreteField(nodal).nodal_values is nodal
+    writeable_source, writeable_nodal = np.array(source), np.linspace(1.0, 0.0, 9)
+    spec = FunctionalSpec(params=params, source=writeable_source, epsilon=1e-6)
+    field = DiscreteField(writeable_nodal)
+    writeable_source[:] = -1.0
+    writeable_nodal[0] = 5.0
+    assert np.array_equal(spec.source, source) and np.array_equal(field.nodal_values, nodal)
+    assert not (spec.source.flags.writeable or field.nodal_values.flags.writeable)
+    field = DiscreteField([2, 1, 0])
+    spec = FunctionalSpec(params=params, source=[1, 2], epsilon=0)
+    assert field.nodal_values.dtype == spec.source.dtype == np.float64
+    assert field.nodal_values.tolist() == [2.0, 1.0, 0.0] and spec.source.tolist() == [1.0, 2.0]
+
+
 # ---------------------------------------------------------------- energy
 def test_energy_zero_field_is_zero():
     grid = RadialGrid(n=4, radius=1.0, cells=16)
