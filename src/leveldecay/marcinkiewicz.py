@@ -78,10 +78,14 @@ def unit_ball_volume(n: int) -> float:
 
 
 def _frozen(values) -> np.ndarray:
-    """``values`` as a read-only float64 array: kept if it is one (its owner must
-    not change it through another view), else copied once and frozen."""
+    """``values`` as a read-only float64 array: kept if it is one that no writeable
+    array shares memory with, because it owns its data or its base (numpy's owner
+    of the memory) is read-only, else copied once and frozen.  The owner must not
+    make a kept array writeable again."""
     if type(values) is np.ndarray and values.dtype == np.float64 and not values.flags.writeable:
-        return values
+        base = values.base
+        if base is None or (type(base) is np.ndarray and not base.flags.writeable):
+            return values
     array = np.array(values, dtype=float)
     array.setflags(write=False)
     return array
@@ -92,11 +96,12 @@ def _float_range_error(radius: float, n: int) -> ValueError:
 
 
 def _weighted_powers(levels: np.ndarray, power: float, measures: np.ndarray) -> np.ndarray:
-    """``levels ** power * measures`` where finite, else through logs (a zero measure adds 0)."""
+    """``levels ** power * measures``, through logs where that is not finite or is 0 from a
+    positive measure (a zero measure adds 0); every finite nonzero product is kept."""
     with np.errstate(over="ignore", invalid="ignore"):
         products = levels**power * measures
-    if not products.max() < math.inf:  # the products are >= 0 or NaN, and max() propagates NaN
-        off = ~np.isfinite(products)
+    off = ~(products < math.inf) | ((products == 0.0) & (measures > 0.0))  # NaN is off
+    if off.any():
         mu = measures[off]
         with np.errstate(all="ignore"):
             products[off] = np.where(mu > 0.0, np.exp(power * np.log(levels[off]) + np.log(mu)), 0.0)
@@ -113,7 +118,8 @@ class DistributionProfile:
     ``measures[i]`` is the measure of the superlevel set at ``levels[i]``
     (ties at the level are counted in, so the map is right-continuous from
     below).  ``total_measure`` is the measure of the whole domain.  Read-only
-    float64 levels and measures are kept, others copied once and frozen.
+    float64 levels and measures that no writeable array shares memory with
+    are kept, others copied once and frozen.
     """
 
     levels: np.ndarray
@@ -442,8 +448,9 @@ def power_source(nodes, n: int, r: float, scale: float) -> PowerSource:
         avg = scale * (n/m) * (r2^m - r1^m) / (r2^n - r1^n),   m = n (1 - 1/r),
 
     which is exact (m > 0 because r > 1, so the origin cell is integrable).
-    Read-only float64 nodes (a ``RadialGrid``'s) are kept, others copied once
-    and frozen.  A shell r2^n - r1^n past the float range raises ValueError.
+    Read-only float64 nodes that no writeable array shares memory with (a
+    ``RadialGrid``'s) are kept, others copied once and frozen.  A shell r2^n - r1^n or a cell average past the float range
+    raises ValueError.
     """
     omega = unit_ball_volume(n)
     n = int(n)
@@ -469,12 +476,16 @@ def power_source(nodes, n: int, r: float, scale: float) -> PowerSource:
     # scale * (n/m) * diff(nodes**m) / diff(nodes**n), in place and in that order
     powers_m = nodes**m
     cell_values = np.subtract(powers_m[1:], powers_m[:-1])
-    np.multiply(scale * (n / m), cell_values, out=cell_values)
     powers_n = nodes**n
     shells = np.subtract(powers_n[1:], powers_n[:-1], out=powers_m[:-1])
     if not shells.min() > 0.0:
         raise _float_range_error(nodes[-1], n)
-    np.divide(cell_values, shells, out=cell_values)
+    try:  # scale * (n/m) as a numpy scalar, whose overflow raises too
+        with np.errstate(over="raise"):
+            np.multiply(np.float64(scale) * (n / m), cell_values, out=cell_values)
+            np.divide(cell_values, shells, out=cell_values)
+    except FloatingPointError:
+        raise ValueError(f"cell averages leave the float range for scale = {scale}, r = {r}") from None
     cell_values.setflags(write=False)
     return PowerSource(
         nodes=nodes, n=n, r=r, scale=scale, cell_values=cell_values, total_measure=omega * span

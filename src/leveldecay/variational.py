@@ -134,7 +134,12 @@ class RadialGrid:
         self.n = int(n)
         self.radius = radius
         self.cells = int(cells)
-        nodes = np.linspace(0.0, radius, self.cells + 1)
+        self.spacing = radius / self.cells
+        # np.linspace(0, radius, cells + 1), bit for bit, in an array that owns its
+        # memory, so that arrays built on the grid can keep it without a copy
+        nodes = np.arange(self.cells + 1, dtype=float)
+        nodes *= self.spacing
+        nodes[-1] = radius
         with np.errstate(over="ignore", invalid="ignore"):
             measures = volume * np.diff(nodes ** self.n)
         if not ((measures > 0.0) & (measures < math.inf)).all():
@@ -143,18 +148,18 @@ class RadialGrid:
         measures.setflags(write=False)
         self.nodes = nodes
         self.cell_measures = measures
-        self.spacing = radius / self.cells
 
 
 class DiscreteField:
     """Continuous piecewise-linear radial field with zero boundary trace.
 
-    Read-only float64 nodal values are kept, others copied once and frozen.
-    The field keeps the sorted level index of its last ``level_profile``
-    grid, keyed on that grid's ``cell_measures`` array, so measuring it
-    again on the same grid skips building it; the index costs 16 bytes per
-    cell while the field is alive.  Nodal values and cell measures are
-    read-only, so a kept index cannot go stale.
+    Read-only float64 nodal values that no writeable array shares memory
+    with are kept, others copied once and frozen.  The field keeps the
+    sorted level index of its last ``level_profile`` grid, keyed on that
+    grid's ``cell_measures`` array, so measuring it again on the same grid
+    skips building it; the index costs 16 bytes per cell while the field
+    is alive.  Nodal values and cell measures are read-only, and nothing
+    can write to their memory, so a kept index cannot go stale.
     """
 
     __slots__ = ("nodal_values", "_level_index")
@@ -176,7 +181,8 @@ class FunctionalSpec:
     """Problem parameters, cell-averaged source and gradient regularization.
 
     ``epsilon`` must be finite and nonnegative, with ``epsilon ** p`` a float.
-    A read-only float64 source is kept, others copied once and frozen.
+    A read-only float64 source that no writeable array shares memory with is
+    kept, others copied once and frozen.
     """
 
     params: ProblemParams
@@ -370,16 +376,16 @@ class MinimizeReport:
     grad_tol), "stagnated" (no step above the step floor decreases the
     energy) or "max_iters".  A full Newton step taken past the energy's
     resolution counts as an iteration.  ``final_gradient_norm`` is the
-    gradient norm at ``final_field``.  ``energy_trace`` holds the energy
-    at the start and after every accepted iteration, so its length is
-    iterations + 1.
+    gradient norm at ``final_field``.  ``energy_trace`` is a tuple of the
+    energy at the start and after every accepted iteration, so its length
+    is iterations + 1.
     """
 
     final_field: DiscreteField
     status: str
     iterations: int
     final_gradient_norm: float
-    energy_trace: List[float]
+    energy_trace: Tuple[float, ...]
 
     @property
     def converged(self) -> bool:
@@ -501,7 +507,7 @@ def minimize(
         status=status,
         iterations=iterations,
         final_gradient_norm=grad_norm,
-        energy_trace=trace,
+        energy_trace=tuple(trace),
     )
 
 

@@ -5,6 +5,7 @@ closed formulas; recursion oracles come from exact rational iteration;
 the vectorized log-space pair checks and the array PsiTable validator
 are compared with the scalar loops they replaced.
 """
+import contextlib
 import math
 import random
 from bisect import bisect_right
@@ -490,7 +491,7 @@ def test_check_hypothesis_constant_table_violates_at_distant_pairs():
 
 def test_check_hypothesis_empty_pairs_error():
     t = PsiTable(knots=[1.0], values=[1.0], k0=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^pair strategy produced no pairs on this table$"):
         check_hypothesis(t, DecayHypothesis(1.0, 1.0, 1.0, 1.0, 2.0, 0.0), AllKnotPairs())
 
 
@@ -677,24 +678,8 @@ def test_check_hypothesis_matches_scalar_oracle(drawn, name):
     assert rep.first_violation == first_violation
 
 
-def test_all_knot_pairs_batches_keep_row_order():
-    # 700 knots span several 2**16-pair batches; the pair order is row-major.
-    knots = [float(j) for j in range(700)]
-    table = PsiTable(knots, [1.0] * len(knots), k0=0.0)
-    batches = list(AllKnotPairs().pair_arrays(table))
-    assert len(batches) > 1
-    h, k = [], []
-    for bh, bk, _, _ in batches:
-        bh, bk = np.broadcast_arrays(bh, bk)
-        keep = bh > bk
-        h.extend(bh[keep].tolist())
-        k.extend(bk[keep].tolist())
-    want = [(hh, kk) for hh, kk, _, _ in _oracle_all_pairs(table)]
-    assert list(zip(h, k)) == want
-
-
 def _drop_table(seed):
-    """Decaying head, a 1e-6 drop at a knot past the first batch, flat after it.
+    """Decaying head, a 1e-6 drop at a knot past row 2**16 // N, flat after it.
 
     With B = C = 1 the flat part's ratios (h-k)^D / (c1 (h^A + 1)) top
     every other pair, so the worst pair and the first violation sit in
@@ -710,7 +695,7 @@ def _drop_table(seed):
 
 
 def _zero_tail_table(seed):
-    """Random geometric decay with a zero tail from a knot past the first batch."""
+    """Random geometric decay with a zero tail from a knot past row 2**16 // N."""
     rng = random.Random(seed)
     n = rng.randint(400, 600)
     knots, values = [], []
@@ -733,8 +718,7 @@ def _zero_tail_table(seed):
 @pytest.mark.parametrize("make", [_drop_table, _zero_tail_table])
 def test_check_hypothesis_matches_scalar_oracle_over_several_batches(make, seed):
     table, hyp, start = make(seed)
-    first_batch_rows = next(AllKnotPairs().pair_arrays(table))[1].size
-    assert start >= first_batch_rows
+    assert start >= lemma._BATCH_PAIRS // len(table)
     oracle = _oracle_ratios(table, hyp, _oracle_all_pairs)
     max_ratio, worst_pair, first_violation = _oracle_report(oracle)
     rep = check_hypothesis(table, hyp, AllKnotPairs())
@@ -769,20 +753,26 @@ def test_check_hypothesis_all_zero_table_reads_zero():
 
 
 # ---------------------------------------------------------------- branch-and-bound
-# check_hypothesis prunes AllKnotPairs with tile bounds once the pairs
-# exceed one batch; the batches of AllKnotPairs checked one by one, as
-# before the pruning, are its oracle.  Every field is compared with ==.
+# check_hypothesis prunes AllKnotPairs with tile bounds; every knot pair
+# checked as one 1-D batch of another strategy, which prunes nothing, is
+# its oracle.  Every field is compared with ==.
 class _Enumerated:
-    """AllKnotPairs' batches under another strategy, so nothing is pruned."""
+    """Every knot pair in row-major order, as one batch, so nothing is pruned."""
 
     def pair_arrays(self, table):
-        return AllKnotPairs().pair_arrays(table)
+        k, h = np.triu_indices(len(table), 1)
+        yield table.knots[h], table.knots[k], table.values[h], table.values[k]
 
 
 def _same_as_enumeration(table, hyp, batch_pairs=None):
-    """The pruned report, after checking that it agrees with the oracle."""
+    """The pruned report, after checking that it agrees with the oracle.
+
+    ``batch_pairs`` stands in for the tile search's ``_BATCH_PAIRS``; None
+    keeps the real one.
+    """
     want = check_hypothesis(table, hyp, _Enumerated())
-    with mock.patch.object(lemma, "_BATCH_PAIRS", batch_pairs or lemma._BATCH_PAIRS):
+    real = batch_pairs is None
+    with contextlib.nullcontext() if real else mock.patch.object(lemma, "_BATCH_PAIRS", batch_pairs):
         got = check_hypothesis(table, hyp, AllKnotPairs())
     assert replace(got, pairs_evaluated=None) == replace(want, pairs_evaluated=None)
     assert want.pairs_evaluated == want.pair_count == len(table) * (len(table) - 1) // 2
@@ -795,12 +785,17 @@ def _pruning_inputs(draw):
     """Nonincreasing tables on knots from 1e-300 to 1e300, zero tails included.
 
     N = 2 and 3 and sizes that are not a multiple of the tile width are
-    drawn; knots come geometric, linear or at random decades, values span
-    1e-300 to 1e300, with flat runs and rises within the table's 1e-12
-    slack.  ``scale`` puts c1 at that multiple of the largest ratio at
-    c1 = 1, so that the maximum sits near 1.
+    drawn with a small ``batch_pairs``, and 71 to 362 knots, up to 2**16
+    pairs, with the real batch (None); knots come geometric, linear or at
+    random decades, values span 1e-300 to 1e300, with flat runs and rises
+    within the table's 1e-12 slack.  ``scale`` puts c1 at that multiple of
+    the largest ratio at c1 = 1, so that the maximum sits near 1.
     """
-    size = draw(st.one_of(st.sampled_from([2, 3, 15, 16, 17, 33]), st.integers(2, 70)))
+    batch_pairs = draw(st.sampled_from([None, 1, 5, 64, 1000]))
+    if batch_pairs is None:
+        size = draw(st.integers(71, 362))
+    else:
+        size = draw(st.one_of(st.sampled_from([2, 3, 15, 16, 17, 33]), st.integers(2, 70)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     low, high = sorted(rng.uniform(-300.0, 300.0, 2))
     knots = {
@@ -827,13 +822,13 @@ def _pruning_inputs(draw):
         D=A + rng.uniform(0.05, 3.0), k0=0.0,
     )
     scale = draw(st.sampled_from([None, 0.5, 1.0, 2.0]))
-    return PsiTable(knots, values, k0=0.0), hyp, scale
+    return PsiTable(knots, values, k0=0.0), hyp, batch_pairs, scale
 
 
 @settings(max_examples=200, deadline=None)
-@given(drawn=_pruning_inputs(), batch_pairs=st.sampled_from([1, 5, 64, 1000]))
-def test_pruned_all_pairs_matches_enumeration(drawn, batch_pairs):
-    table, hyp, scale = drawn
+@given(drawn=_pruning_inputs())
+def test_pruned_all_pairs_matches_enumeration(drawn):
+    table, hyp, batch_pairs, scale = drawn
     top = check_hypothesis(table, hyp, _Enumerated()).max_ratio
     if scale is not None and 1e-300 < top < 1e300:
         hyp = replace(hyp, c1=top * scale)
@@ -842,14 +837,14 @@ def test_pruned_all_pairs_matches_enumeration(drawn, batch_pairs):
 
 @st.composite
 def _unbounded_inputs(draw):
-    """Tables past one batch whose tile bounds have an infinite rounding margin.
+    """Tables whose tile bounds have an infinite rounding margin.
 
     A or D lies near the float max, so A log h or D log(h - k) leaves the
     float range on most pairs; or B does, so (B - C) log psi(k) reads
     +inf or -inf and the pairs whose psi(k) is small keep finite ratios.
     Values come with flat runs (ties), drops and zero tails, and may be
-    all zero.  Tables past the real batch of 2**16 pairs (363 knots and
-    more) are drawn next to small tables checked with a smaller batch.
+    all zero.  Tables of 363 to 380 knots, past 2**16 pairs, are drawn with
+    the real batch next to small tables checked with a smaller batch.
     ``scale`` puts c1 at that multiple of the largest finite ratio at
     c1 = 1, so that the maximum sits near 1.
     """
@@ -977,7 +972,7 @@ def test_pairs_evaluated_is_pair_count_where_nothing_is_pruned():
     for strategy, h in ((AllKnotPairs(), huge), (Doubling(), hyp), (RandomPairs(50, 3), hyp)):
         rep = check_hypothesis(table, h, strategy)
         assert rep.pairs_evaluated == rep.pair_count
-    small, hyp = _flat(300)  # 44850 pairs: one batch, checked without bounds
+    small, hyp = _flat(300)  # every ratio is 1: every tile can reach the maximum
     assert check_hypothesis(small, hyp, AllKnotPairs()).pairs_evaluated == 44850
 
 

@@ -8,6 +8,7 @@ the oracle of the sort-free path for already ordered fields.
 """
 import math
 import re
+import warnings
 
 import mpmath
 
@@ -390,6 +391,13 @@ def test_weak_norm_empty_levels_contribute_zero():
     assert est.norm_estimate == pytest.approx(1e100, rel=1e-12) and est.attained_at == 1e200
 
 
+
+def test_weak_norm_reads_underflowing_powers_through_logs():
+    # (1e-200)^2 underflows to 0, while k^r mu = 1e-100
+    est = weak_norm_estimate(DistributionProfile([1e-200], [1e300], 1e300), 2.0)
+    assert est.norm_estimate == pytest.approx(1e-100, rel=1e-12) and est.attained_at == 1e-200
+
+
 # ---------------------------------------------------------------- fits
 def test_tail_fit_exact_power():
     levels = np.geomspace(1.0, 1e4, 60)
@@ -695,6 +703,16 @@ def test_power_source_rejects_shells_past_the_float_range(nodes, radius):
     message = f"shell measures leave the float range for radius = {radius}, n = 4"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         power_source(nodes, 4, 1.5, 1.0)
+
+
+@pytest.mark.parametrize("r, scale", [(1.0000001, 1e300), (1.5, 1e308)])
+def test_power_source_rejects_cell_averages_past_the_float_range(r, scale):
+    # about 1e307 / 0.25**4 in the first cell's divide; 3e308 = scale * n/m before any cell
+    message = f"cell averages leave the float range for scale = {scale}, r = {r}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            power_source(np.linspace(0.0, 1.0, 5), 4, r, scale)
 
 
 def _read_only(values):

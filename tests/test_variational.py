@@ -130,6 +130,31 @@ def test_radial_grid_shells_difference_one_power_pass_bitwise(n):
     assert np.array_equal(grid.cell_measures, twice)
 
 
+def test_field_copies_a_read_only_view_of_a_writeable_array():
+    # a later write to the base reaches neither the field nor its kept level index
+    grid = RadialGrid(n=4, radius=1.0, cells=8)
+    base = np.linspace(1.0, 0.0, 9)
+    view = base.view()
+    view.setflags(write=False)
+    field = DiscreteField(view)
+    before = level_profile(field, grid, [0.5]).measures
+    base[:] = np.linspace(3.0, 0.0, 9)
+    fresh = DiscreteField(np.linspace(1.0, 0.0, 9))
+    assert np.array_equal(field.nodal_values, fresh.nodal_values)
+    after = level_profile(field, grid, [0.5]).measures
+    assert np.array_equal(after, level_profile(fresh, grid, [0.5]).measures)
+    assert np.array_equal(after, before)
+
+
+@settings(max_examples=100, deadline=None)
+@given(radius=st.floats(1e-30, 1e30), cells=st.integers(1, 5000))
+def test_radial_grid_nodes_are_linspace_in_an_array_of_their_own(radius, cells):
+    # power_source and fields keep an array only when no writeable array shares its memory
+    grid = RadialGrid(n=1, radius=radius, cells=cells)
+    assert grid.nodes.base is None
+    assert np.array_equal(grid.nodes, np.linspace(0.0, radius, cells + 1))
+
+
 def test_discrete_field_zero_trace_enforced():
     DiscreteField([1.0, 0.5, 0.0])
     with pytest.raises(ValueError):
@@ -145,7 +170,7 @@ def test_field_and_spec_keep_read_only_arrays_and_copy_writeable_ones():
     source = power_source(grid.nodes, n=4, r=1.75, scale=1.0).cell_values
     params = ProblemParams(n=4, p=2.0, alpha=0.25, r=1.75)
     assert FunctionalSpec(params=params, source=source, epsilon=1e-6).source is source
-    nodal = np.linspace(1.0, 0.0, 9)
+    nodal = np.linspace(1.0, 0.0, 9).copy()  # owns its memory, unlike np.linspace's result
     nodal.setflags(write=False)
     assert DiscreteField(nodal).nodal_values is nodal
     writeable_source, writeable_nodal = np.array(source), np.linspace(1.0, 0.0, 9)
@@ -559,6 +584,8 @@ def test_minimize_monotone_energy_trace():
     assert len(rep.energy_trace) == rep.iterations + 1
     assert np.all(np.diff(rep.energy_trace) <= 0.0)
     assert rep.energy_trace[-1] < 0.0  # source term pays off from the start
+    with pytest.raises(AttributeError):  # a frozen report's trace cannot grow
+        rep.energy_trace.append(1.0)
 
 
 def _tridiag_solve(n, radius, cells, beta1, f_const):
