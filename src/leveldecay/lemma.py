@@ -496,8 +496,8 @@ def _scan(log_ratios: np.ndarray) -> Tuple[np.ndarray, int, Optional[int]]:
     np.fmax(log_ratios, -np.inf, out=log_ratios)
     with np.errstate(over="ignore"):
         ratios = np.exp(log_ratios, out=log_ratios)
-    worst = int(np.argmax(ratios))
-    over = int(np.argmax(ratios > 1.0)) if ratios.flat[worst] > 1.0 else None
+    worst = int(ratios.argmax())
+    over = int((ratios > 1.0).argmax()) if ratios.flat[worst] > 1.0 else None
     return ratios, worst, over
 
 
@@ -604,15 +604,10 @@ def _check_origin(table: PsiTable, hyp: DecayHypothesis) -> None:
         raise ValueError(f"table origin k0={table.k0} lies below hypothesis k0={hyp.k0}")
 
 
-def _take(terms, index):
-    """Per-knot terms at ``index``; a scalar term is the same for every knot."""
-    return tuple(t[index] if np.ndim(t) else t for t in terms)
-
-
 def _abs_max(x) -> float:
     """Largest finite |x|, or 0.0 where no entry is finite."""
     x = np.abs(x)
-    return float(np.max(x, initial=0.0, where=np.isfinite(x)))
+    return float(x.max(initial=0.0, where=np.isfinite(x)))
 
 
 def _bound_margin(knots, h_terms, k_terms, D: float) -> float:
@@ -631,9 +626,10 @@ def _bound_margin(knots, h_terms, k_terms, D: float) -> float:
     log_lhs, a = h_terms
     c_log_base, b = k_terms
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_gap = max(abs(math.log(np.diff(knots).min())), abs(math.log(knots[-1] - knots[0])))
+        smallest_gap = (knots[1:] - knots[:-1]).min()
+        log_gap = max(abs(math.log(smallest_gap)), abs(math.log(knots[-1] - knots[0])))
         total = (
-            1.0 + D * log_gap + max(np.max(a) + np.max(b), 0.0) + _LOG2
+            1.0 + D * log_gap + max(a.max() + np.max(b), 0.0) + _LOG2
             + _abs_max(c_log_base) + _abs_max(log_lhs)
         )
     return _BOUND_MARGIN * total if total < math.inf else math.inf
@@ -682,16 +678,23 @@ def _all_pairs_check(table: PsiTable, hyp: DecayHypothesis) -> CheckReport:
     last = np.minimum(first + _TILE - 1, n - 1)
     run = np.arange(_TILE)
 
-    def runs(x, pad: float):
-        """A per-knot term as (tiles, _TILE) runs, padded with ``pad``."""
-        if np.ndim(x) == 0:
-            return x
-        return np.concatenate([x, np.full(tiles * _TILE - n, pad)]).reshape(tiles, _TILE)
+    def runs(terms, pads):
+        """Per-knot terms stacked as (terms, tiles, _TILE) runs, padded with ``pads``."""
+        stacked = np.empty((len(terms), tiles * _TILE))
+        for row, x, pad in zip(stacked, terms, pads):
+            row[:n] = x
+            row[n:] = pad
+        return stacked.reshape(len(terms), tiles, _TILE)
 
-    # padding reads h = -inf and k = +inf, so h - k = -inf gives ratio 0
-    h_runs = [runs(x, p) for x, p in zip((knots, *h_terms), (-math.inf, -math.inf, 0.0))]
-    k_runs = [runs(x, p) for x, p in zip((knots, *k_terms), (math.inf, 0.0, 0.0))]
+    # padding reads h = -inf and k = +inf, so h - k = -inf gives ratio 0; a scalar
+    # b (B = C) is the same for every knot and stays out of the k runs
     log_lhs, a = h_terms
+    c_log_base, b = k_terms
+    h_runs = runs((knots, log_lhs, a), (-math.inf, -math.inf, 0.0))
+    if np.ndim(b):
+        k_runs = runs((knots, c_log_base, b), (math.inf, 0.0, 0.0))
+    else:
+        k_runs = runs((knots, c_log_base), (math.inf, 0.0))
     h_tile = (np.maximum.reduceat(log_lhs, first), a[first])
     k_tile = tuple(np.minimum.reduceat(x, first) if np.ndim(x) else x for x in k_terms)
     zero = h_tile[0] == -math.inf
@@ -709,15 +712,17 @@ def _all_pairs_check(table: PsiTable, hyp: DecayHypothesis) -> CheckReport:
         nonlocal max_ratio, worst_key, violation, evaluated
         rows, cols = first[g, None] + run, first[t, None] + run
         evaluated += int(np.maximum(last[t, None] - np.maximum(cols[:, :1], rows + 1) + 1, 0).sum())
-        h, *h_side = _take(h_runs, (t, None))
-        k, *k_side = _take(k_runs, (g, slice(None), None))
+        h, *h_side = h_runs[:, t, None]
+        k, *k_side = k_runs[:, g, :, None]
+        if len(k_side) == 1:  # B = C: the scalar b
+            k_side.append(b)
         ratios, worst, over = _scan(_pair_logs(h, k, h_side, k_side, D))
 
         def first_key(flat: int, holds) -> int:
             lo = flat // _TILE**2
-            hi = int(np.searchsorted(g, g[lo], "right"))
+            hi = int(g.searchsorted(g[lo], "right"))
             i, tile, j = np.unravel_index(
-                np.argmax(holds(ratios[lo:hi]).transpose(1, 0, 2)), (_TILE, hi - lo, _TILE)
+                holds(ratios[lo:hi]).transpose(1, 0, 2).argmax(), (_TILE, hi - lo, _TILE)
             )
             return int(rows[lo + tile, i] * n + cols[lo + tile, j])
 
@@ -737,12 +742,12 @@ def _all_pairs_check(table: PsiTable, hyp: DecayHypothesis) -> CheckReport:
         found = violation
         bound = _pair_logs(
             knots[last], knots[first[groups], None], h_tile,
-            _take(k_tile, (groups, None)), D,
+            tuple(x[groups, None] if np.ndim(x) else x for x in k_tile), D,
         )
         bound[:, zero] = -math.inf
         bound[np.isnan(bound)] = math.inf  # a bound that is not a number prunes nothing
         bound[last <= first[groups, None]] = -math.inf  # no pair h > k
-        top = int(np.argmax(bound))
+        top = int(bound.argmax())
         if bound.flat[top] == -math.inf:
             continue
         evaluate(groups[[top // tiles]], np.array([top % tiles]))
@@ -759,7 +764,7 @@ def _all_pairs_check(table: PsiTable, hyp: DecayHypothesis) -> CheckReport:
         start, step = 0, 1
         while True:
             # later runs of k hold only later pairs than the first violation found
-            stop = g.size if violation is None else np.searchsorted(g, violation // n // _TILE, "right")
+            stop = g.size if violation is None else g.searchsorted(violation // n // _TILE, "right")
             if start >= stop:
                 break
             evaluate(g[start:min(start + step, stop)], t[start:min(start + step, stop)])

@@ -24,6 +24,7 @@ dispatch, for the experiment and for stored profiles alike.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
@@ -140,9 +141,12 @@ class RadialGrid:
         nodes = np.arange(self.cells + 1, dtype=float)
         nodes *= self.spacing
         nodes[-1] = radius
+        # volume * diff(nodes ** n), the difference written straight into the measures
         with np.errstate(over="ignore", invalid="ignore"):
-            measures = volume * np.diff(nodes ** self.n)
-        if not ((measures > 0.0) & (measures < math.inf)).all():
+            powers = nodes ** self.n
+            measures = np.subtract(powers[1:], powers[:-1])
+            measures *= volume
+        if not (measures.min() > 0.0 and measures.max() < math.inf):  # NaN fails
             raise _float_range_error(radius, self.n)
         nodes.setflags(write=False)
         measures.setflags(write=False)
@@ -157,9 +161,10 @@ class DiscreteField:
     with are kept, others copied once and frozen.  The field keeps the
     sorted level index of its last ``level_profile`` grid, keyed on that
     grid's ``cell_measures`` array, so measuring it again on the same grid
-    skips building it; the index costs 16 bytes per cell while the field
-    is alive.  Nodal values and cell measures are read-only, and nothing
-    can write to their memory, so a kept index cannot go stale.
+    skips building it; the index costs its 8 bytes per cell of keys while
+    the field is alive, plus the cumulative cell measure that every index
+    on the grid shares.  Nodal values and cell measures are read-only, and
+    nothing can write to their memory, so a kept index cannot go stale.
     """
 
     __slots__ = ("nodal_values", "_level_index")
@@ -550,11 +555,12 @@ def level_profile(field: DiscreteField, grid: RadialGrid, levels) -> Distributio
     The field acts through its cell midpoint values, each weighted with
     the exact shell measure, consistent with the rest of the module.  The
     midpoint values are indexed once per (field, ``grid.cell_measures``)
-    and the index is kept with the field (16 bytes per cell), so later
-    profiles of the field on that grid cost O(L log N) for L levels.  The
-    index sorts by |midpoint value|, except for a field whose |midpoint
-    values| already fall outward, as every radially decreasing one does:
-    there one comparison pass replaces the sort.
+    and the index is kept with the field (8 bytes per cell of keys, plus
+    the cumulative cell measure shared by every field on the grid), so
+    later profiles of the field on that grid cost O(L log N) for L
+    levels.  The index sorts by |midpoint value|, except for a field whose
+    |midpoint values| already fall outward, as every radially decreasing
+    one does: there one comparison pass replaces the sort.
     """
     return _level_index(field, grid).profile(levels)
 
@@ -573,6 +579,20 @@ class LevelsetReport:
     residuals: List[Tuple[float, float, float]]
     skipped: List[Tuple[float, float]]
     constant: float
+
+
+def _pair_levels(pairs) -> np.ndarray:
+    """The (h, k) pairs as a (P, 2) float array, as ``np.array(pairs, dtype=float)``
+    reshaped gives it: in one ``np.fromiter`` pass where every pair is a tuple or
+    list of two, else through ``np.array``, which raises its errors on anything else."""
+    try:
+        count = len(pairs)
+        if set(map(type, pairs)) <= {tuple, list} and set(map(len, pairs)) <= {2}:
+            levels = np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * count)
+            return levels.reshape(-1, 2)
+    except (TypeError, ValueError):
+        pass
+    return np.array(pairs, dtype=float).reshape(-1, 2)
 
 
 def levelset_inequality_check(
@@ -594,7 +614,7 @@ def levelset_inequality_check(
     """
     _check_compatible(field.nodal_values, grid, spec)
     hyp = compute_exponents(spec.params).hyp
-    levels = np.array(pairs, dtype=float).reshape(-1, 2)
+    levels = _pair_levels(pairs)
     h, k = levels[:, 0], levels[:, 1]
     bad = np.flatnonzero(~((h > k) & (k > 0.0) & np.isfinite(h)))
     if bad.size:
@@ -611,11 +631,11 @@ def levelset_inequality_check(
     skipped = [(float(a), float(b)) for a, b in levels[~kept]]
     if not kept.any():
         return LevelsetReport(residuals=[], skipped=skipped, constant=0.0)
+    h, k = h[kept], k[kept]
     ratios, worst, _ = _pair_scan(
-        h[kept], k[kept], measures[kept, 0], measures[kept, 1],
-        1.0, hyp.A, hyp.B, hyp.C, hyp.D,
+        h, k, measures[kept, 0], measures[kept, 1], 1.0, hyp.A, hyp.B, hyp.C, hyp.D
     )
-    residuals = list(zip(h[kept].tolist(), k[kept].tolist(), ratios.tolist()))
+    residuals = list(zip(h.tolist(), k.tolist(), ratios.tolist()))
     return LevelsetReport(
         residuals=residuals, skipped=skipped, constant=float(ratios[worst])
     )

@@ -6,9 +6,13 @@ and the ascending-sort suffix-sum form of ``distribution_function`` is
 the oracle of its one-sort prefix-sum form, whose argsort path is in turn
 the oracle of the sort-free path for already ordered fields.
 """
+import gc
 import math
 import re
+import tracemalloc
 import warnings
+import weakref
+from unittest import mock
 
 import mpmath
 
@@ -17,7 +21,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
+from leveldecay import marcinkiewicz
 from leveldecay.marcinkiewicz import (
+    _BLOCK,
+    _PREFIXES,
     DistributionProfile,
     _LevelIndex,
     InsufficientPointsError,
@@ -204,6 +211,117 @@ def test_level_index_ordered_input_matches_argsort_path_bitwise(drawn):
     # tobytes also tells -0.0 from 0.0
     assert index.keys.tobytes() == keys.tobytes()
     assert index.prefix.tobytes() == prefix.tobytes()
+
+
+#: Cell counts around the block length of the level index and power_source passes.
+_SEAM_CELLS = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5)
+
+
+def _falling_values(cells):
+    """|v| strictly falling from 3 toward 0, with both signs."""
+    values = np.linspace(3.0, 0.0, cells + 1)[:-1]
+    values[1::3] *= -1.0
+    return values
+
+
+@pytest.mark.parametrize("cells", _SEAM_CELLS)
+@pytest.mark.parametrize("defect", [None, "tie", "out of order", "nan"])
+def test_level_index_at_block_seams_matches_the_argsort_path(cells, defect):
+    values = _falling_values(cells)
+    weights = np.linspace(1.0, 2.0, cells)
+    # the first cell past each seam, or the last cell where there is no seam
+    for at in range(_BLOCK, cells, _BLOCK) if cells > _BLOCK else [cells - 1]:
+        if defect == "tie":
+            values[at] = -values[at - 1]
+        elif defect == "out of order":
+            values[at] = -(abs(values[at - 1]) + 1.0)
+        elif defect == "nan":
+            values[at] = math.nan
+    if defect == "nan":
+        assert _error(lambda: _LevelIndex(values, weights)) == "values and weights must be finite"
+        assert _level_index_error_before(values, weights) == "values and weights must be finite"
+        return
+    index = _LevelIndex(values, weights)
+    keys, prefix = _argsort_index(values, weights)
+    assert index.keys.tobytes() == keys.tobytes()
+    assert index.prefix.tobytes() == prefix.tobytes()
+
+
+@st.composite
+def _ordered_fields_with_a_defect(draw):
+    """``_ordered_fields`` with one value anywhere made larger in |v| than all before it."""
+    values, weights = draw(_ordered_fields())
+    if values.size > 1 and draw(st.booleans()):
+        at = draw(st.integers(1, values.size - 1))
+        values[at] = abs(values[:at]).max() + 1.0
+    return values, weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_ordered_fields_with_a_defect(), block=st.integers(1, 5))
+def test_level_index_in_short_blocks_matches_argsort_path_bitwise(drawn, block):
+    # blocks of a few cells put seams everywhere in small fields
+    values, weights = drawn
+    with mock.patch.object(marcinkiewicz, "_BLOCK", block):
+        index = _LevelIndex(values, weights)
+    keys, prefix = _argsort_index(values, weights)
+    assert index.keys.tobytes() == keys.tobytes()
+    assert index.prefix.tobytes() == prefix.tobytes()
+
+
+def test_level_indexes_on_one_keepable_weight_array_share_its_prefix():
+    grid = RadialGrid(n=4, radius=1.0, cells=64)
+    first = _LevelIndex(_falling_values(64), grid.cell_measures)
+    second = distribution_function(2.0 * _falling_values(64), grid.cell_measures, [1.0])
+    third = _LevelIndex(-_falling_values(64), grid.cell_measures)
+    assert third.prefix is first.prefix and not first.prefix.flags.writeable
+    assert second.total_measure == first.prefix[-1]
+    assert first.prefix.tobytes() == _argsort_index(_falling_values(64), grid.cell_measures)[1].tobytes()
+    # the argsort path gathers the weights, so it has its own prefix
+    assert _LevelIndex(_falling_values(64)[::-1], grid.cell_measures).prefix is not first.prefix
+
+
+def _writeable_owner(weights):
+    return weights, weights
+
+
+def _read_only_view(weights):
+    view = weights.view()
+    view.setflags(write=False)
+    return weights, view
+
+
+def _read_only_over_a_buffer(weights):
+    buffer = bytearray(weights.tobytes())
+    array = np.frombuffer(buffer, dtype=float)
+    array.setflags(write=False)
+    return np.frombuffer(buffer, dtype=float), array  # the second view writes to the buffer
+
+
+@pytest.mark.parametrize("make", [_writeable_owner, _read_only_view, _read_only_over_a_buffer])
+def test_no_prefix_is_kept_for_weights_that_a_writeable_array_shares(make):
+    values = _falling_values(40)
+    levels = [0.5, 1.0, 2.0]
+    base, weights = make(np.linspace(1.0, 2.0, 40))
+    before = distribution_function(values, weights, levels)
+    assert id(weights) not in _PREFIXES
+    base[:] = np.linspace(5.0, 3.0, 40)
+    after = distribution_function(values, weights, levels)
+    fresh = distribution_function(values, np.linspace(5.0, 3.0, 40), levels)
+    assert after.measures.tobytes() == fresh.measures.tobytes() and after.total_measure == fresh.total_measure
+    assert not np.array_equal(after.measures, before.measures)
+    assert _LevelIndex(values, weights).prefix.tobytes() == _argsort_index(values, base)[1].tobytes()
+
+
+def test_kept_prefix_goes_with_its_weight_array():
+    weights = np.linspace(1.0, 2.0, 40).copy()  # an array that owns its memory
+    weights.setflags(write=False)
+    key, entries = id(weights), len(_PREFIXES)
+    prefix = weakref.ref(_LevelIndex(_falling_values(40), weights).prefix)
+    assert key in _PREFIXES and len(_PREFIXES) == entries + 1 and prefix() is not None
+    del weights
+    gc.collect()
+    assert key not in _PREFIXES and len(_PREFIXES) == entries and prefix() is None
 
 
 def test_level_index_last_element_out_of_order_is_sorted():
@@ -683,6 +801,76 @@ def test_power_source_matches_the_two_power_expression_on_grids(n, radius, cells
     src = power_source(nodes, n=n, r=r, scale=scale)
     assert src.cell_values.tobytes() == values.tobytes()
     assert src.total_measure == total
+
+
+@pytest.mark.parametrize("cells", _SEAM_CELLS)
+@pytest.mark.parametrize("free", [False, True])
+def test_power_source_at_block_seams_matches_the_two_power_expression(cells, free):
+    nodes = RadialGrid(n=4, radius=1.0, cells=cells).nodes
+    if free:  # a non-uniform, writeable node array
+        nodes = nodes * np.linspace(0.5, 1.0, nodes.size)
+    values, total = _power_source_reference(nodes, 4, 1.75, 0.8)
+    src = power_source(nodes, n=4, r=1.75, scale=0.8)
+    assert src.cell_values.tobytes() == values.tobytes()
+    assert src.total_measure == total
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    cells=st.integers(1, 40),
+    r=st.floats(1.05, 8.0),
+    scale=st.floats(0.0, 10.0),
+    block=st.integers(1, 5),
+)
+def test_power_source_in_short_blocks_matches_the_two_power_expression(n, cells, r, scale, block):
+    nodes = np.linspace(0.0, 2.0, cells + 1) ** 1.5
+    values, total = _power_source_reference(nodes, n, r, scale)
+    with mock.patch.object(marcinkiewicz, "_BLOCK", block):
+        src = power_source(nodes, n=n, r=r, scale=scale)
+    assert src.cell_values.tobytes() == values.tobytes()
+    assert src.total_measure == total
+
+
+def test_power_source_names_a_late_shell_past_the_float_range_before_an_early_overflow():
+    # The fourth powers of these nodes are subnormal and about 1e-321 apart, so
+    # every cell average overflows from the first block on; a node one ulp above
+    # its neighbour in the fourth block has the same fourth power, a shell of 0.
+    cells = 3 * _BLOCK + 5
+    nodes = (np.arange(cells + 1) * 1e-321) ** 0.25
+    overflow = "cell averages leave the float range for scale = 1e+100, r = 1.5"
+    assert _error(lambda: power_source(nodes, 4, 1.5, 1e100)) == overflow
+    at = 3 * _BLOCK + 2
+    nodes[at + 1] = np.nextafter(nodes[at], 1.0)
+    shells = f"shell measures leave the float range for radius = {nodes[-1]}, n = 4"
+    assert _power_source_error_before(nodes, 4, 1.5, 1e100) == shells
+    assert _error(lambda: power_source(nodes, 4, 1.5, 1e100)) == shells
+
+
+def _traced_peak(call):
+    """Bytes that ``call()`` held at its peak over what was allocated before it, and its result."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_measure_layer_calls_allocate_only_what_they_return_or_keep():
+    # numpy reports its data buffers to tracemalloc; blocks of scratch stay far below 1 MiB
+    cells = 2**18
+    grid = RadialGrid(n=4, radius=1.0, cells=cells)
+    values = _falling_values(cells)
+    levels = np.geomspace(1e-3, 2.0, 97)
+    peak, src = _traced_peak(lambda: power_source(grid.nodes, n=4, r=1.75, scale=1.0))
+    assert src.nodes is grid.nodes
+    assert peak <= src.cell_values.nbytes + 2**20
+    distribution_function(values, grid.cell_measures, levels)  # keeps the prefix of the grid's measures
+    peak, prof = _traced_peak(lambda: distribution_function(values, grid.cell_measures, levels))
+    # the level index's keys, 8 bytes a cell, are the one cell-sized array the call makes
+    assert peak <= 8 * cells + prof.levels.nbytes + prof.measures.nbytes + 2**20
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,10 +9,12 @@ Earlier forms of the energy kernel, the tridiagonal solve, the shift
 loop and the level-set check are kept as bitwise oracles of their
 leaner successors.
 """
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from leveldecay import variational
 from leveldecay.exponents import ProblemParams, compute_exponents, holder_conjugate
 from leveldecay.lemma import _pair_scan
 from leveldecay.marcinkiewicz import (
+    _PREFIXES,
     DistributionProfile,
     distribution_function,
     power_source,
@@ -47,7 +50,14 @@ from leveldecay.variational import (
     tail_fit_of,
     truncate,
 )
-from leveldecay.variational import _coefficients, _evaluate, _newton_direction, _tridiagonal_solve
+from leveldecay.variational import (
+    _coefficients,
+    _evaluate,
+    _level_index,
+    _newton_direction,
+    _pair_levels,
+    _tridiagonal_solve,
+)
 
 
 def make_spec(grid, *, n=4, p=2.0, alpha=0.25, r=1.75, beta1=1.0, b_const=1.0,
@@ -128,6 +138,19 @@ def test_radial_grid_shells_difference_one_power_pass_bitwise(n):
     assert nodes.size == 2**18 + 1
     twice = unit_ball_volume(n) * (nodes[1:] ** n - nodes[:-1] ** n)
     assert np.array_equal(grid.cell_measures, twice)
+
+
+def test_fields_on_one_grid_share_the_prefix_the_grid_keeps():
+    grid = RadialGrid(n=4, radius=1.0, cells=32)
+    fields = [DiscreteField(np.linspace(s, 0.0, 33)) for s in (1.0, 2.0)]
+    prefixes = [_level_index(field, grid).prefix for field in fields]
+    assert prefixes[0] is prefixes[1]
+    assert level_profile(fields[0], grid, [0.5]).total_measure == prefixes[0][-1]
+    key, kept = id(grid.cell_measures), weakref.ref(prefixes[0])
+    assert key in _PREFIXES
+    del grid, fields, prefixes
+    gc.collect()
+    assert key not in _PREFIXES and kept() is None
 
 
 def test_field_copies_a_read_only_view_of_a_writeable_array():
@@ -863,6 +886,22 @@ def _step_field_and_spec():
     vals = np.array([4.0, 3.0, 2.5, 1.8, 1.2, 0.7, 0.3, 0.1, 0.0])
     spec = make_spec(grid)
     return DiscreteField(vals), grid, spec
+
+
+@pytest.mark.parametrize("pairs", [
+    [(2, 1)], [], [(2, 1)] * 3, ((2, 1), (3, 1)), [[2, 1], (3, 1.5)], [(np.float32(2.5), np.int64(1))],
+    [(True, False)], [("1.5", "0.5")], np.array([[2.0, 1.0]]), [np.array([2.0, 1.0])], [((2,), (1,))],
+    [1.0, 2.0], ["12", "34"], [(1, 2, 3), (4, 5, 6)], [(2, 1), (3,)], [(1, 2, 3), (4,)], [(1, 2, 3)],
+    [(2.0, "a")], [(2.0, 1j)], [(2.0, None)], [{2.0: 1, 1.0: 2}], [{2.0, 1.0}], [(10**400, 1)], "ab", 5, None,
+])
+def test_pair_levels_read_pairs_as_np_array_does(pairs):
+    def read(convert):
+        try:
+            return convert(pairs).tobytes()
+        except Exception as exc:  # the same type and message
+            return type(exc), str(exc)
+
+    assert read(_pair_levels) == read(lambda p: np.array(p, dtype=float).reshape(-1, 2))
 
 
 def test_levelset_check_rejects_bad_pairs():
