@@ -34,15 +34,17 @@ log and the ratio are computed.  All-pairs pairs come in the row-major
 order k = knots[i], h = knots[j] for j > i, which is the order "first"
 refers to.  They are checked by an exact branch-and-bound
 (``_all_pairs_check``) whose report is that of checking every pair, bit
-for bit, except that fewer pairs are computed.
+for bit, except that fewer pairs are computed; any other strategy gives
+its pairs as one batch.  The numpy error state is set once per check, by
+the entry points that run the pair kernel (``check_hypothesis``,
+``_pair_scan`` and ``check_envelope``); the kernel's helpers set none.
 """
 from __future__ import annotations
 
 import enum
 import math
-import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -58,7 +60,6 @@ __all__ = [
     "EnvelopeReport",
     "GiustiResult",
     "PsiTable",
-    "RandomPairs",
     "WrongCaseError",
     "check_envelope",
     "check_hypothesis",
@@ -80,8 +81,8 @@ CLASSIFY_TOL = 1e-9
 #: rounding of values produced by floating-point formulas).
 _MONOTONE_SLACK = 1e-12
 
-#: Pairs per array batch of RandomPairs and of the all-pairs check; bounds
-#: the memory of a check independently of the table size.
+#: Pairs per array batch of the all-pairs check; bounds its memory
+#: independently of the table size.
 _BATCH_PAIRS = 2**16
 
 #: Knots per run of the all-pairs branch-and-bound; a tile pairs the k
@@ -207,13 +208,17 @@ def _exp(x: float) -> float:
 
 
 def _power_logs(hyp: DecayHypothesis, psi_at_k0: float) -> Tuple[float, float, float]:
-    """lam, log M and log c_bar of the power-decay envelope."""
+    """lam, log M and log c_bar = lam log 2 + max(log M, log rho(k0)).
+
+    M bounds the dyadic chain of :func:`power_decay_constants` from 2 k0
+    on; rho(k0) covers [k0, 2 k0), where only psi(k) <= psi(k0) is known.
+    """
     lam = (hyp.D - hyp.A) / (1.0 - hyp.B)
     log_rho = lam * _log(hyp.k0) + _log(psi_at_k0)
     log_m = (
         math.log(max(hyp.c1, 1.0)) + (lam + hyp.A + 1.0) * _LOG2
     ) / (1.0 - hyp.B) + hyp.B * float(np.logaddexp(0.0, log_rho))
-    return lam, log_m, lam * _LOG2 + log_m
+    return lam, log_m, lam * _LOG2 + max(log_m, log_rho)
 
 
 def power_decay_constants(hyp: DecayHypothesis, psi_at_k0: float) -> EnvelopeConstants:
@@ -223,11 +228,18 @@ def power_decay_constants(hyp: DecayHypothesis, psi_at_k0: float) -> EnvelopeCon
 
         lam   = (D - A) / (1 - B)
         M     = c1'**(1/(1-B)) * 2**((lam+A+1)/(1-B)) * (1 + rho(k0))**B
-        c_bar = 2**lam * M
+        c_bar = 2**lam * max(M, rho(k0))
 
-    and the claimed conclusion is psi(k) <= c_bar * k**(-lam).  M and
-    c_bar are computed through their logs and read ``inf`` beyond the
-    float range.
+    and the claimed conclusion is psi(k) <= c_bar * k**(-lam) for k >= k0.
+    With phi(k) = k**lam psi(k), the pair (2k, k) and the balance
+    lam = (D-A)/(1-B) = D/(1-C) give phi(2k) <= 2**lam c1 (2**A phi(k)**B
+    + phi(k)**C) <= K max(phi(k), 1)**B with K = 2**(lam+A+1) c1', as
+    C < B.  Along k_j = 2**j k0, phi(k_1) <= K (1 + rho(k0))**B <= M and
+    K M**B <= M, so phi(k_j) <= M for j >= 1; monotonicity then gives
+    psi(k) <= psi(k_j) <= 2**lam M k**(-lam) on [k_j, k_{j+1}).  On
+    [k0, 2 k0) only psi(k) <= psi(k0) <= 2**lam rho(k0) k**(-lam) holds,
+    hence the max.  M and c_bar are computed through their logs and read
+    ``inf`` beyond the float range.
     """
     case = _require_case(hyp, CaseTag.POWER_DECAY, "power_decay_constants")
     _check_psi_at_k0(psi_at_k0)
@@ -435,11 +447,6 @@ class PsiTable:
 # --------------------------------------------------------------------------
 # pair strategies and checks
 # --------------------------------------------------------------------------
-#: A batch of pairs as 1-D arrays (h, k, psi_h, psi_k) of one length, one
-#: pair h > k per entry.
-Batch = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
 class AllKnotPairs:
     """Every ordered knot pair (h, k) with h > k.
 
@@ -450,39 +457,18 @@ class AllKnotPairs:
 
 
 class Doubling:
-    """Only the pairs (h, k) = (2k, k); psi(2k) uses the step convention."""
+    """Only the pairs (h, k) = (2k, k); psi(2k) uses the step convention.
 
-    def pair_arrays(self, table: PsiTable) -> Iterator[Batch]:
+    ``pair_arrays(table)`` returns them as one batch (h, k, psi_h, psi_k).
+    """
+
+    def pair_arrays(self, table: PsiTable) -> Tuple[np.ndarray, ...]:
         knots, values = table.knots, table.values
         with np.errstate(over="ignore"):
             h = 2.0 * knots
         keep = (h <= knots[-1]) & (h > knots)
         psi_h = values[np.searchsorted(knots, h[keep], side="right") - 1]
-        yield h[keep], knots[keep], psi_h, values[keep]
-
-
-class RandomPairs:
-    """A reproducible random sample of `count` knot pairs."""
-
-    def __init__(self, count: int, seed: int) -> None:
-        if count <= 0:
-            raise ValueError("count must be positive")
-        self.count = int(count)
-        self.seed = int(seed)
-
-    def pair_arrays(self, table: PsiTable) -> Iterator[Batch]:
-        knots, values = table.knots, table.values
-        n = knots.size
-        if n < 2:
-            return
-        rng = random.Random(self.seed)
-        for start in range(0, self.count, _BATCH_PAIRS):
-            lower, upper = [], []
-            for _ in range(min(_BATCH_PAIRS, self.count - start)):
-                i = rng.randrange(0, n - 1)
-                lower.append(i)
-                upper.append(rng.randrange(i + 1, n))
-            yield knots[upper], knots[lower], values[upper], values[lower]
+        return h[keep], knots[keep], psi_h, values[keep]
 
 
 def _scan(log_ratios: np.ndarray) -> Tuple[np.ndarray, int, Optional[int]]:
@@ -494,8 +480,7 @@ def _scan(log_ratios: np.ndarray) -> Tuple[np.ndarray, int, Optional[int]]:
     the first one above 1 (None if there is none).
     """
     np.fmax(log_ratios, -np.inf, out=log_ratios)
-    with np.errstate(over="ignore"):
-        ratios = np.exp(log_ratios, out=log_ratios)
+    ratios = np.exp(log_ratios, out=log_ratios)
     worst = int(ratios.argmax())
     over = int((ratios > 1.0).argmax()) if ratios.flat[worst] > 1.0 else None
     return ratios, worst, over
@@ -510,8 +495,7 @@ def _log_sum(x: np.ndarray, y) -> np.ndarray:
     as with ``np.logaddexp``.
     """
     top = np.maximum(x, y)
-    with np.errstate(invalid="ignore"):
-        term = np.subtract(x, y, out=x)
+    term = np.subtract(x, y, out=x)
     np.abs(term, out=term)
     np.negative(term, out=term)
     np.exp(term, out=term)
@@ -529,15 +513,14 @@ def _knot_logs(h, lhs, base, c1: float, A: float, B: float, C: float):
     b = (B - C) log base (b = -inf where base = 0), one per k.  With
     B = C, b is the scalar 0.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_base = np.log(base)
-        log_lhs = np.log(lhs) - math.log(c1)
-        if B == C:  # where base = 0 the term C log base is -inf
-            b = 0.0
-        else:
-            b = (B - C) * log_base
-            b[base == 0.0] = -math.inf
-        return (log_lhs, A * np.log(h)), (C * log_base, b)
+    log_base = np.log(base)
+    log_lhs = np.log(lhs) - math.log(c1)
+    if B == C:  # where base = 0 the term C log base is -inf
+        b = 0.0
+    else:
+        b = (B - C) * log_base
+        b[base == 0.0] = -math.inf
+    return (log_lhs, A * np.log(h)), (C * log_base, b)
 
 
 def _pair_logs(h, k, h_terms, k_terms, D: float) -> np.ndarray:
@@ -552,14 +535,13 @@ def _pair_logs(h, k, h_terms, k_terms, D: float) -> np.ndarray:
     """
     log_lhs, a = h_terms
     c_log_base, b = k_terms
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_sum = _log_sum(np.add(a, b), 0.0)
-        log_ratios = np.subtract(h, k)
-        np.log(log_ratios, out=log_ratios)
-        log_ratios *= D
-        log_ratios -= log_sum
-        log_ratios -= c_log_base
-        log_ratios += log_lhs
+    log_sum = _log_sum(np.add(a, b), 0.0)
+    log_ratios = np.subtract(h, k)
+    np.log(log_ratios, out=log_ratios)
+    log_ratios *= D
+    log_ratios -= log_sum
+    log_ratios -= c_log_base
+    log_ratios += log_lhs
     return log_ratios
 
 
@@ -572,10 +554,12 @@ def _pair_scan(
     pair h > k per entry.  The per-knot terms come from :func:`_knot_logs`
     and the log ratios from :func:`_pair_logs`.  Where base = 0 the term
     C log base = -inf decides, so 0/0 reads 0 and positive/0 reads inf.
-    Values must be nonnegative and h positive.
+    Values must be nonnegative and h positive.  The numpy error state is
+    set here, once for the whole batch.
     """
-    h_terms, k_terms = _knot_logs(h, lhs, base, c1, A, B, C)
-    return _scan(_pair_logs(h, k, h_terms, k_terms, D))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h_terms, k_terms = _knot_logs(h, lhs, base, c1, A, B, C)
+        return _scan(_pair_logs(h, k, h_terms, k_terms, D))
 
 
 @dataclass(frozen=True)
@@ -586,9 +570,9 @@ class CheckReport:
     inequality holds on the sample); ``worst_pair`` is the first (h, k)
     attaining it; ``first_violation`` is the first sampled pair with
     ratio > 1, or None.  ``pairs_evaluated`` is the number of pairs whose
-    ratio was computed: ``pair_count`` for :class:`Doubling` and
-    :class:`RandomPairs`, at most that for :class:`AllKnotPairs`, whose
-    check skips pairs that cannot change the result.
+    ratio was computed: ``pair_count`` for :class:`Doubling`, at most
+    that for :class:`AllKnotPairs`, whose check skips pairs that cannot
+    change the result.
     """
 
     max_ratio: float
@@ -596,7 +580,7 @@ class CheckReport:
     worst_pair: Tuple[float, float]
     pair_count: int
     first_violation: Optional[Tuple[float, float]]
-    pairs_evaluated: Optional[int] = None
+    pairs_evaluated: int
 
 
 def _check_origin(table: PsiTable, hyp: DecayHypothesis) -> None:
@@ -625,13 +609,12 @@ def _bound_margin(knots, h_terms, k_terms, D: float) -> float:
     """
     log_lhs, a = h_terms
     c_log_base, b = k_terms
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        smallest_gap = (knots[1:] - knots[:-1]).min()
-        log_gap = max(abs(math.log(smallest_gap)), abs(math.log(knots[-1] - knots[0])))
-        total = (
-            1.0 + D * log_gap + max(a.max() + np.max(b), 0.0) + _LOG2
-            + _abs_max(c_log_base) + _abs_max(log_lhs)
-        )
+    smallest_gap = (knots[1:] - knots[:-1]).min()
+    log_gap = max(abs(math.log(smallest_gap)), abs(math.log(knots[-1] - knots[0])))
+    total = (
+        1.0 + D * log_gap + max(a.max() + np.max(b), 0.0) + _LOG2
+        + _abs_max(c_log_base) + _abs_max(log_lhs)
+    )
     return _BOUND_MARGIN * total if total < math.inf else math.inf
 
 
@@ -790,9 +773,10 @@ def check_hypothesis(
     :class:`AllKnotPairs` is checked by an exact branch-and-bound
     (``_all_pairs_check``) that reports what checking every pair in
     row-major order reports, except that ``pairs_evaluated`` counts only
-    the pairs computed.  :class:`Doubling` and :class:`RandomPairs` supply
-    their pairs as 1-D array batches through their ``pair_arrays(table)``
-    method.  "First" refers to the strategy's pair order.  Ratios are
+    the pairs computed.  Any other strategy, such as :class:`Doubling`,
+    returns its pairs as one batch of 1-D arrays from ``pair_arrays(table)``
+    for one :func:`_pair_scan`; either path sets the numpy error state once.
+    "First" refers to the strategy's pair order.  Ratios are
     lhs/rhs per pair, computed from logs, with log h, log psi(h) and
     log psi(k) taken once per knot: 0/0 counts as 0 (the inequality is
     trivially satisfied), positive/0 as +inf, and a ratio beyond the
@@ -804,32 +788,20 @@ def check_hypothesis(
     if isinstance(strategy, AllKnotPairs):
         if len(table) < 2:
             raise ValueError(no_pairs)
-        return _all_pairs_check(table, hyp)
-    max_ratio = -math.inf
-    worst_pair: Optional[Tuple[float, float]] = None
-    first_violation: Optional[Tuple[float, float]] = None
-    count = 0
-    for h, k, psi_h, psi_k in strategy.pair_arrays(table):
-        if h.size == 0:
-            continue
-        count += h.size
-        ratios, worst, over = _pair_scan(
-            h, k, psi_h, psi_k, hyp.c1, hyp.A, hyp.B, hyp.C, hyp.D
-        )
-        if ratios[worst] > max_ratio:
-            max_ratio = float(ratios[worst])
-            worst_pair = (float(h[worst]), float(k[worst]))
-        if first_violation is None and over is not None:
-            first_violation = (float(h[over]), float(k[over]))
-    if count == 0:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return _all_pairs_check(table, hyp)
+    h, k, psi_h, psi_k = strategy.pair_arrays(table)
+    if h.size == 0:
         raise ValueError(no_pairs)
+    ratios, worst, over = _pair_scan(h, k, psi_h, psi_k, hyp.c1, hyp.A, hyp.B, hyp.C, hyp.D)
+    max_ratio = float(ratios[worst])
     return CheckReport(
         max_ratio=max_ratio,
         passed=max_ratio <= 1.0,
-        worst_pair=worst_pair,
-        pair_count=count,
-        first_violation=first_violation,
-        pairs_evaluated=count,
+        worst_pair=(float(h[worst]), float(k[worst])),
+        pair_count=h.size,
+        first_violation=None if over is None else (float(h[over]), float(k[over])),
+        pairs_evaluated=h.size,
     )
 
 
@@ -862,7 +834,7 @@ def check_envelope(
     scale, log_factor = _envelope_logs(hyp, psi_at_k0, knots)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_ratios = np.log(values) - (np.log(scale) + log_factor)
-    ratios, worst, over = _scan(log_ratios)
+        ratios, worst, over = _scan(log_ratios)
     max_ratio = float(ratios[worst])
     return EnvelopeReport(
         max_ratio=max_ratio,

@@ -569,15 +569,15 @@ def level_profile(field: DiscreteField, grid: RadialGrid, levels) -> Distributio
 class LevelsetReport:
     """Residuals of the level-set inequality |A_h| <= (h^A |A_k|^B + |A_k|^C)/(h-k)^D.
 
-    ``residuals`` holds (h, k, ratio) for every pair with |A_k| > 0, in
-    the order of the pairs; pairs whose lower level already empties the
-    superlevel set are listed in ``skipped``.  ``constant`` is the
-    smallest c making the inequality hold on the sampled pairs (the
-    largest ratio), or 0.0 if none remain.
+    ``residuals`` is a tuple of (h, k, ratio) for every pair with
+    |A_k| > 0, in the order of the pairs; pairs whose lower level already
+    empties the superlevel set are in the tuple ``skipped``.
+    ``constant`` is the smallest c making the inequality hold on the
+    sampled pairs (the largest ratio), or 0.0 if none remain.
     """
 
-    residuals: List[Tuple[float, float, float]]
-    skipped: List[Tuple[float, float]]
+    residuals: Tuple[Tuple[float, float, float], ...]
+    skipped: Tuple[Tuple[float, float], ...]
     constant: float
 
 
@@ -628,14 +628,16 @@ def levelset_inequality_check(
         unique, inverse = np.unique(levels, return_inverse=True)
         measures = index.profile(unique).measures[inverse].reshape(-1, 2)
     kept = measures[:, 1] > 0.0
-    skipped = [(float(a), float(b)) for a, b in levels[~kept]]
+    # tuple() of a list takes its exact size; of an iterator it grows and cuts back a tuple,
+    # which then joins CPython's free list of its new size, up to 2000 kept tuples per size
+    skipped = tuple([(float(a), float(b)) for a, b in levels[~kept]])
     if not kept.any():
-        return LevelsetReport(residuals=[], skipped=skipped, constant=0.0)
+        return LevelsetReport(residuals=(), skipped=skipped, constant=0.0)
     h, k = h[kept], k[kept]
     ratios, worst, _ = _pair_scan(
         h, k, measures[kept, 0], measures[kept, 1], 1.0, hyp.A, hyp.B, hyp.C, hyp.D
     )
-    residuals = list(zip(h.tolist(), k.tolist(), ratios.tolist()))
+    residuals = tuple(list(zip(h.tolist(), k.tolist(), ratios.tolist())))
     return LevelsetReport(
         residuals=residuals, skipped=skipped, constant=float(ratios[worst])
     )

@@ -376,6 +376,25 @@ def test_verify_knot_at_1e200(tmp_path, capsys):
     assert out["result"] == "violation"
 
 
+def test_verify_power_envelope_holds_between_k0_and_2k0(tmp_path, capsys):
+    # rho(k0) = 1000^4 * 1 = 1e12 tops M = 4.096e9, so c_bar = 2^4 rho(k0) and
+    # the envelope at k0 reads 16 psi(k0), where 2^4 M would read psi(k0) / 15.26
+    psi = _write_psi_csv(tmp_path / "psi.csv", [1000.0, 1e6], [1.0, 0.0])
+    cfg = write(
+        tmp_path / "c.ini",
+        "[lemma]\nc1 = 1\nA = 1\nB = 0.5\nC = 0.25\nD = 3\nk0 = 1000\npsi_at_k0 = 1\n",
+    )
+    assert main(["verify", "--config", cfg, "--psi", psi]) == 0
+    out = parse_kv(capsys.readouterr().out)
+    assert out["hypothesis_passed"] == "True"
+    assert out["envelope_passed"] == "True"
+    assert float(out["envelope_max_ratio"]) == pytest.approx(1.0 / 16.0, rel=1e-12)
+    assert main(["constants", "--config", cfg]) == 0
+    rows = parse_csv(capsys.readouterr().out)
+    assert float(rows[0]["M"]) == pytest.approx(4.096e9, rel=1e-12)
+    assert float(rows[0]["c_bar"]) == pytest.approx(1.6e13, rel=1e-12)
+
+
 @pytest.mark.parametrize("psi_at_k0", ["nan", "-1.0"])
 def test_verify_rejects_a_bad_psi_at_k0(tmp_path, capsys, psi_at_k0):
     knots = [float(k) for k in range(1, 31)]

@@ -923,8 +923,8 @@ def test_levelset_check_rejects_infinite_level():
 def test_levelset_check_bounded_regime_trivial():
     field, grid, spec = _step_field_and_spec()
     rep = levelset_inequality_check(field, grid, spec, [(20.0, 10.0), (40.0, 30.0)])
-    assert rep.skipped == [(20.0, 10.0), (40.0, 30.0)]
-    assert rep.residuals == []
+    assert rep.skipped == ((20.0, 10.0), (40.0, 30.0))
+    assert rep.residuals == ()
     assert rep.constant == 0.0
 
 
@@ -946,7 +946,7 @@ def test_levelset_check_against_hand_formula():
     for (h, k, ratio), want in zip(rep.residuals, expected):
         assert ratio == pytest.approx(want, rel=1e-12)
     assert rep.constant == pytest.approx(max(expected), rel=1e-12)
-    assert rep.skipped == []
+    assert rep.skipped == ()
 
 
 def _levelset_oracle(field, grid, spec, pairs):
@@ -964,7 +964,7 @@ def _levelset_oracle(field, grid, spec, pairs):
         measure_h = float(np.sum(meas[mid >= h]))
         rhs = (h**hyp.A * measure_k**hyp.B + measure_k**hyp.C) / (h - k) ** hyp.D
         residuals.append((h, k, measure_h / rhs))
-    return residuals, skipped
+    return tuple(residuals), tuple(skipped)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1006,13 +1006,13 @@ def _levelset_by_unique_levels(field, grid, spec, pairs):
     unique, index = np.unique(levels, return_inverse=True)
     measures = level_profile(field, grid, unique).measures[index].reshape(-1, 2)
     kept = measures[:, 1] > 0.0
-    skipped = [(float(a), float(b)) for a, b in levels[~kept]]
+    skipped = tuple((float(a), float(b)) for a, b in levels[~kept])
     if not kept.any():
-        return [], skipped, 0.0
+        return (), skipped, 0.0
     ratios, worst, _ = _pair_scan(
         h[kept], k[kept], measures[kept, 0], measures[kept, 1], 1.0, hyp.A, hyp.B, hyp.C, hyp.D
     )
-    return list(zip(h[kept].tolist(), k[kept].tolist(), ratios.tolist())), skipped, float(ratios[worst])
+    return tuple(zip(h[kept].tolist(), k[kept].tolist(), ratios.tolist())), skipped, float(ratios[worst])
 
 
 @settings(max_examples=80, deadline=None)
@@ -1067,7 +1067,7 @@ def test_levelset_constant_stable_under_refinement(trichotomy_runs):
         rep = levelset_inequality_check(
             report.final_fields[idx], report.grids[idx], report.specs[idx], pairs
         )
-        assert rep.skipped == []
+        assert rep.skipped == ()
         assert math.isfinite(rep.constant) and rep.constant > 0.0
         cs.append(rep.constant)
     assert abs(cs[1] - cs[0]) / cs[0] < 0.10
