@@ -316,7 +316,12 @@ def weak_norm_estimate(prof: DistributionProfile, r: float) -> WeakNormEstimate:
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
 class FitResult:
-    """Ordinary least squares line fit with its coefficient of determination."""
+    """Ordinary least squares line fit y = slope * x + intercept of ``n_points`` points.
+
+    ``r_squared`` is 1 - ss_res / ss_tot, and 1 when every y is the same
+    (ss_tot = 0).  All three numbers come from the closed-form sums of
+    :func:`_ols_line`.
+    """
 
     slope: float
     intercept: float
@@ -325,15 +330,44 @@ class FitResult:
 
 
 def _ols_line(x: np.ndarray, y: np.ndarray) -> FitResult:
-    slope, intercept = np.polyfit(x, y, 1)
-    residuals = y - (slope * x + intercept)
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    """Least squares line through the points (x, y), by the normal equations.
+
+    The abscissae are scaled and centered first (Chan, Golub and LeVeque,
+    "Algorithms for computing the sample variance", Am. Stat. 37, 1983):
+    u = x / 2^e with 2^e the power of two just above max|x|, which is exact,
+    and du = u - mean(u), with dy = y - mean(y).  Then no product overflows
+    or underflows for any finite x, and a spread of x that is small next to
+    x itself is not rounded away.  slope_u = du.dy / du.du,
+    slope = slope_u / 2^e (a slope past the float range is an infinity) and
+    intercept = mean(y) - slope_u mean(u).  ss_res sums the squares of the
+    residuals dy - slope_u du, and ss_tot = dy.dy.  The sums run in
+    ``np.longdouble`` (64-bit mantissas on x86-64): an intercept near 0 is
+    the difference of two far larger terms, and it keeps its digits only
+    when these carry more than double precision.  Abscissae that are all
+    one float (du.du = 0) fix no slope: they raise
+    ``InsufficientPointsError``.
+    """
+    exponent = math.frexp(float(np.abs(x).max()))[1]
+    u = np.ldexp(x, -exponent).astype(np.longdouble)
+    mean_u = u.sum() / x.size
+    du = u - mean_u
+    ss_u = du @ du
+    if ss_u == 0.0:
+        raise InsufficientPointsError(f"the {x.size} fit abscissae are all one float, {float(x[0])!r}")
+    dy = y.astype(np.longdouble)
+    mean_y = dy.sum() / y.size
+    dy -= mean_y
+    slope_u = (du @ dy) / ss_u
+    try:
+        slope = math.ldexp(float(slope_u), -exponent)
+    except OverflowError:
+        slope = math.copysign(math.inf, slope_u)
+    residuals = dy - slope_u * du
+    ss_tot = dy @ dy
     return FitResult(
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r_squared,
+        slope=slope,
+        intercept=float(mean_y - slope_u * mean_u),
+        r_squared=1.0 if ss_tot == 0.0 else float(1.0 - (residuals @ residuals) / ss_tot),
         n_points=int(x.size),
     )
 
@@ -342,7 +376,8 @@ def tail_exponent_fit(prof: DistributionProfile, k_min: float, k_max: float) -> 
     """Fit ``ln mu = slope * ln k + intercept`` on the window [k_min, k_max].
 
     Only levels with positive measure enter the regression; fewer than
-    ``MIN_FIT_POINTS`` usable points raises ``InsufficientPointsError``.
+    ``MIN_FIT_POINTS`` usable points raises ``InsufficientPointsError``,
+    and so do levels whose logs are all one float (see :func:`_ols_line`).
     A power-law tail mu ~ k^s yields slope s with r_squared close to one.
     """
     k_min = float(k_min)
@@ -363,7 +398,9 @@ def exp_integrability_fit(prof: DistributionProfile, theta: float, k_min: float)
 
     A stretched-exponential tail mu ~ exp(-c k^theta) yields slope -c with
     r_squared close to one; power-law tails score visibly lower.  Fewer
-    than ``MIN_FIT_POINTS`` usable points raises ``InsufficientPointsError``.
+    than ``MIN_FIT_POINTS`` usable points raises ``InsufficientPointsError``,
+    and so do levels whose k^theta are all one float.  The fit of
+    :func:`_ols_line` holds over the whole float range of the levels.
     """
     theta = float(theta)
     k_min = float(k_min)
@@ -454,7 +491,10 @@ def integral_bound_check(values, weights, mask, r: float, norm_const: float) -> 
     if not math.isfinite(norm_const) or norm_const < 0.0:
         raise ValueError("norm_const must be finite and nonnegative")
     w = w[chosen]
-    lhs = float(np.sum(np.abs(vals[chosen]) * w))
+    products = vals[chosen]
+    np.abs(products, out=products)
+    products *= w
+    lhs = float(np.sum(products))
     measure = float(np.sum(w))
     rhs = norm_const * measure ** (1.0 - 1.0 / r)
     if lhs == 0.0:

@@ -102,6 +102,17 @@ _TAIL_SPAN = 1e3
 _EXP_SPAN = 50.0
 
 
+def _unit_levels(span: float) -> np.ndarray:
+    levels = np.geomspace(1.0 / span, 1.0, _PROFILE_LEVELS)
+    levels.setflags(write=False)
+    return levels
+
+
+#: The profile levels of a solution of peak 1 in each branch (see ``_profile_levels``).
+_TAIL_LEVELS = _unit_levels(_TAIL_SPAN)
+_EXP_LEVELS = _unit_levels(_EXP_SPAN)
+
+
 class NonFiniteEnergyError(ArithmeticError):
     """Raised when the energy of the starting field, or of every line-search trial, is not finite.
 
@@ -722,10 +733,19 @@ class ProfileSummary:
 
 
 def _profile_levels(regime: Regime, peak: float) -> np.ndarray:
+    """``_PROFILE_LEVELS`` geometric levels from peak / span up to exactly ``peak``.
+
+    They are ``peak`` times the branch's unit grid, which
+    ``np.geomspace(1 / span, 1, _PROFILE_LEVELS)`` builds once: no level
+    overflows, even at the largest float peak.  The span is ``_EXP_SPAN``
+    at r = n/p and ``_TAIL_SPAN`` otherwise.  A peak of 0 has no levels.
+    The levels are read-only, so the profile keeps them without a copy.
+    """
     if peak <= 0.0:
         return np.empty(0)
-    span = _EXP_SPAN if regime is Regime.EXPONENTIAL_INTEGRABILITY else _TAIL_SPAN
-    return np.geomspace(peak / span, peak, _PROFILE_LEVELS)
+    levels = peak * (_EXP_LEVELS if regime is Regime.EXPONENTIAL_INTEGRABILITY else _TAIL_LEVELS)
+    levels.setflags(write=False)
+    return levels
 
 
 def summarize(profile: DistributionProfile, exps: ExponentSet) -> ProfileSummary:

@@ -746,6 +746,33 @@ def test_analyze_exact_power_profile(tmp_path, capsys):
     assert float(out["predicted_slope"]) == pytest.approx(-7.0, rel=1e-12)
 
 
+def test_analyze_fits_a_profile_at_the_top_of_the_float_range(tmp_path, capsys):
+    # k^(1/2) reaches 1.3e154, whose square np.polyfit overflowed: it printed
+    # slope=0.0 and r_squared=0.0 with a warning on stderr
+    ks = np.geomspace(1e306, 1.7e308, 40)
+    rows = [f"{float(k)!r},{float(m)!r}" for k, m in zip(ks, np.exp(-np.sqrt(ks) / 1.3e154))]
+    prof = write(tmp_path / "profile.csv", "k,measure\n" + "\n".join(rows) + "\n")
+    cfg = write(tmp_path / "c.ini", PROBLEM_SOBOLEV.replace("r = 1.75", "r = 2.0"))
+    assert main(["analyze", "--config", cfg, "--profile", prof]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = parse_kv(captured.out)
+    assert out["fit"] == "exp" and float(out["theta"]) == 0.5
+    assert float(out["slope"]) == pytest.approx(-1.0 / 1.3e154, rel=1e-9)
+    assert float(out["r_squared"]) >= 1.0 - 1e-12
+
+
+def test_analyze_profile_whose_fit_abscissae_are_one_float(tmp_path, capsys):
+    # ten distinct levels near 1e300 whose logs are one float fix no tail slope
+    rows = [f"{1e300 * (1.0 + j * 2.3e-16)!r},{1.0 - j / 20.0!r}" for j in range(10)]
+    prof = write(tmp_path / "profile.csv", "k,measure\n" + "\n".join(rows) + "\n")
+    cfg = write(tmp_path / "c.ini", PROBLEM_SOBOLEV)
+    assert main(["analyze", "--config", cfg, "--profile", prof]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: profile has too few positive tail points to fit\n"
+
+
 def test_analyze_profile_with_only_level_zero(tmp_path, capsys):
     prof = write(tmp_path / "profile.csv", "k,measure\n0.0,1.0\n")
     cfg = write(tmp_path / "c.ini", PROBLEM_SOBOLEV)

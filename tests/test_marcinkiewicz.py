@@ -565,6 +565,97 @@ def test_exp_fit_insufficient_points():
         exp_integrability_fit(prof, 0.5, 1.0)
 
 
+def _mp_line(x, y):
+    """Slope, intercept and r^2 of the least squares line through the floats (x, y), at 60 digits."""
+    with mpmath.workdps(60):
+        xs = [mpmath.mpf(float(v)) for v in x]
+        ys = [mpmath.mpf(float(v)) for v in y]
+        mean_x, mean_y = mpmath.fsum(xs) / len(xs), mpmath.fsum(ys) / len(ys)
+        ss_x = mpmath.fsum((a - mean_x) ** 2 for a in xs)
+        slope = mpmath.fsum((a - mean_x) * (b - mean_y) for a, b in zip(xs, ys)) / ss_x
+        intercept = mean_y - slope * mean_x
+        ss_res = mpmath.fsum((b - slope * a - intercept) ** 2 for a, b in zip(xs, ys))
+        ss_tot = mpmath.fsum((b - mean_y) ** 2 for b in ys)
+        r_squared = 1 if ss_tot == 0 else 1 - ss_res / ss_tot
+        return float(slope), float(intercept), float(r_squared)
+
+
+def _assert_line(fit, want):
+    slope, intercept, r_squared = want
+    assert fit.slope == pytest.approx(slope, rel=1e-9)
+    assert fit.intercept == pytest.approx(intercept, rel=1e-9)
+    assert fit.r_squared == pytest.approx(r_squared, abs=1e-9)
+
+
+@st.composite
+def _falling_lines(draw):
+    """Levels 10^e t with t rising from 1 to 10, and ln mu falling from a positive
+    top through a noisy line to a positive bottom, so that no coefficient of the
+    fit is a difference of nearly equal terms."""
+    count = draw(st.integers(8, 40))
+    exponent = draw(st.floats(-300.0, 300.0))
+    gaps = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=count - 1, max_size=count - 1)))
+    t = np.concatenate(([1.0], 1.0 + 9.0 * np.cumsum(gaps) / gaps.sum()))
+    noise = np.array(draw(st.lists(st.floats(0.5, 1.5), min_size=count - 1, max_size=count - 1)))
+    drops = draw(st.floats(1e-3, 30.0)) * np.diff(t) * noise
+    bottom = draw(st.floats(0.1, 100.0))
+    logs = bottom + np.concatenate((np.cumsum(drops[::-1])[::-1], [0.0]))
+    measures = np.exp(logs)
+    return exponent, DistributionProfile(10.0**exponent * t, measures, measures[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_falling_lines())
+@example(case=(300.0, DistributionProfile(1e300 * np.linspace(1.0, 10.0, 8), np.exp(np.arange(8.0, 0.0, -1.0)),
+                                          math.exp(8.0))))
+@example(case=(-300.0, DistributionProfile(1e-300 * np.linspace(1.0, 10.0, 8), np.exp(np.arange(8.0, 0.0, -1.0)),
+                                           math.exp(8.0))))
+def test_fits_match_a_60_digit_least_squares_oracle(case):
+    exponent, prof = case
+    levels, logs = prof.levels, np.log(prof.measures)
+    fits = [(exp_integrability_fit(prof, 1.0, 0.0), levels)]
+    if exponent >= 0.0:  # the logs of levels >= 1 are >= 0, so the intercept is a sum again
+        fits.append((tail_exponent_fit(prof, levels[0], levels[-1]), np.log(levels)))
+    for fit, x in fits:
+        _assert_line(fit, _mp_line(x, logs))
+        if abs(exponent) <= 100.0:  # np.polyfit, the fit before the closed form, squares x
+            slope, intercept = np.polyfit(x, logs, 1)
+            assert fit.slope == pytest.approx(slope, rel=1e-9)
+            assert fit.intercept == pytest.approx(intercept, rel=1e-9)
+
+
+@pytest.mark.parametrize("low, high", [(1e150, 1e160), (1e-300, 1e-290)])
+def test_exp_fit_at_the_ends_of_the_float_range(low, high):
+    # np.polyfit squared these levels: it returned slope 0.0 with an overflow
+    # warning on the first range and raised LinAlgError on the second
+    levels = np.geomspace(low, high, 20)
+    logs = 5.0 - levels / high
+    prof = DistributionProfile(levels, np.exp(logs), math.exp(5.0))
+    fit = exp_integrability_fit(prof, 1.0, 0.0)
+    _assert_line(fit, _mp_line(levels, np.log(prof.measures)))
+    assert fit.slope == pytest.approx(-1.0 / high, rel=1e-12)
+    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tail_fit_of_a_narrow_band_of_levels():
+    # the logs of these levels spread over 2e-9 around 690.8: a scale of the
+    # abscissae that rounds each by 1e-16 of its size would move the slope by
+    # about 1e-5, and np.polyfit was off by 6e-7
+    levels = 1e300 * (1.0 + np.arange(20) * 1e-10)
+    measures = (levels / 1e300) ** -3.0
+    fit = tail_exponent_fit(DistributionProfile(levels, measures, measures[0]), levels[0], levels[-1])
+    _assert_line(fit, _mp_line(np.log(levels), np.log(measures)))
+
+
+def test_fit_of_abscissae_that_are_one_float_reports_too_few_points():
+    # ten distinct levels whose logs round to one float: no slope is fixed
+    levels = 1e300 * (1.0 + np.arange(10) * 2.3e-16)
+    assert np.unique(levels).size == 10 and np.unique(np.log(levels)).size == 1
+    prof = DistributionProfile(levels, np.linspace(1.0, 0.5, 10), 1.0)
+    with pytest.raises(InsufficientPointsError, match="abscissae are all one float"):
+        tail_exponent_fit(prof, 1e299, 1.7e308)
+
+
 # ---------------------------------------------------------------- summability
 def test_summability_inverse_square_converges():
     # [DERIVED]: S_K = e|Omega| sum k^{-2} -> e|Omega| pi^2/6.
@@ -673,6 +764,19 @@ def test_integral_bound_power_source_worst_sets():
         mask = nodes[1:] <= frac  # small central balls
         chk = integral_bound_check(src.cell_values, w, mask, r, bound_const)
         assert chk.passed, frac
+
+
+def test_integral_bound_gathers_two_cell_sized_arrays():
+    # the selected weights and the selected values, which take |.| and the
+    # weights in place: 16 bytes a selected cell
+    cells = 2**16
+    values = _falling_values(cells)
+    weights = np.full(cells, 1.0 / cells)
+    mask = np.ones(cells, dtype=bool)
+    want = float(np.sum(np.abs(values) * weights))
+    peak, chk = _traced_peak(lambda: integral_bound_check(values, weights, mask, 2.0, 1.0))
+    assert chk.lhs == want
+    assert peak < 20 * cells
 
 
 # ---------------------------------------------------------------- power source

@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -24,7 +25,7 @@ from scipy.linalg import solve_banded
 import leveldecay
 from conftest import TRICHOTOMY_GRIDS, TRICHOTOMY_TOL
 from leveldecay import variational
-from leveldecay.exponents import ProblemParams, compute_exponents, holder_conjugate
+from leveldecay.exponents import ProblemParams, Regime, compute_exponents, holder_conjugate
 from leveldecay.lemma import _pair_scan
 from leveldecay.marcinkiewicz import (
     _PREFIXES,
@@ -51,11 +52,15 @@ from leveldecay.variational import (
     truncate,
 )
 from leveldecay.variational import (
+    _EXP_SPAN,
+    _PROFILE_LEVELS,
+    _TAIL_SPAN,
     _coefficients,
     _evaluate,
     _level_index,
     _newton_direction,
     _pair_levels,
+    _profile_levels,
     _tridiagonal_solve,
 )
 
@@ -1079,6 +1084,64 @@ def test_tail_fit_of_ignores_level_zero():
     ks = np.geomspace(1.0, 10.0, 20)
     fit = tail_fit_of(DistributionProfile(np.append(0.0, ks), np.append(1.0, ks**-3.0), 1.0))
     assert fit.slope == pytest.approx(-3.0, rel=1e-12)
+
+
+def _geomspace_levels(regime, peak):
+    """The profile levels as one np.geomspace per peak, the way they were built before the unit grids."""
+    if peak <= 0.0:
+        return np.empty(0)
+    span = _EXP_SPAN if regime is Regime.EXPONENTIAL_INTEGRABILITY else _TAIL_SPAN
+    return np.geomspace(peak / span, peak, _PROFILE_LEVELS)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_profile_levels_of_peak_one_are_the_geomspace_levels(regime):
+    levels = _profile_levels(regime, 1.0)
+    assert levels.tobytes() == _geomspace_levels(regime, 1.0).tobytes()
+    assert not levels.flags.writeable
+    assert _profile_levels(regime, 0.0).size == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(regime=st.sampled_from(list(Regime)), peak=st.floats(1e-300, 1.7976931348623157e308))
+@example(regime=Regime.SOBOLEV_W1P, peak=1.7976931348623157e308)
+@example(regime=Regime.EXPONENTIAL_INTEGRABILITY, peak=1.7976931348623157e308)
+def test_profile_levels_rise_geometrically_to_the_peak(regime, peak):
+    levels = _profile_levels(regime, peak)
+    assert levels.size == _PROFILE_LEVELS and levels[-1] == peak
+    assert (levels[1:] > levels[:-1]).all()
+    with np.errstate(over="ignore"):  # np.geomspace overflows in a power near the largest float
+        want = _geomspace_levels(regime, peak)
+    np.testing.assert_allclose(levels, want, rtol=1e-12, atol=0.0)
+
+
+def test_profile_levels_of_the_largest_float_peak_warn_of_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        levels = _profile_levels(Regime.SOBOLEV_W1P, 1.7976931348623157e308)
+    assert np.isfinite(levels).all()
+
+
+@pytest.mark.parametrize("r", [1.75, 2.0, 3.0])
+def test_experiment_solves_do_not_depend_on_how_the_profile_levels_are_built(monkeypatch, r):
+    params = ProblemParams(n=4, p=2.0, alpha=0.25, r=r)
+    tolerances = SolverTolerances(max_iters=1500)
+    report = experiment_regularity(params, (32, 64), tolerances)
+    monkeypatch.setattr(variational, "_profile_levels", _geomspace_levels)
+    before = experiment_regularity(params, (32, 64), tolerances)
+    for run, old in zip(report.runs, before.runs):
+        assert (run.report.status, run.report.iterations) == (old.report.status, old.report.iterations)
+        assert run.report.final_field.nodal_values.tobytes() == old.report.final_field.nodal_values.tobytes()
+        assert run.max_u == old.max_u
+        np.testing.assert_allclose(run.profile.levels, old.profile.levels, rtol=1e-12, atol=0.0)
+    for name in ("tail_fit", "exp_fit"):
+        fit, old = getattr(report, name), getattr(before, name)
+        assert (fit is None) == (old is None)
+        if fit is not None:
+            assert fit.n_points == old.n_points
+            assert fit.slope == pytest.approx(old.slope, rel=1e-9)
+            assert fit.r_squared == pytest.approx(old.r_squared, abs=1e-9)
+    assert report.stabilization_ratio == before.stabilization_ratio
 
 
 def test_experiment_tail_branch_structure():
