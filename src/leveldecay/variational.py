@@ -10,10 +10,12 @@ linear in the radius with zero boundary trace, the coefficient and the
 source act through cell midpoint values, and every cell carries the
 exact measure of its spherical shell.  The coefficient decays in u, so
 the functional is noncoercive.  Every cell couples only its two end
-nodes, so the exact Hessian is tridiagonal, and one pass over the cells
-yields the energy, gradient and Hessian.  Minimizers are found by a damped
-Newton method with a Levenberg shift toward the discrete L^2(mu) metric
-where the Hessian is indefinite and an Armijo line search on the energy.
+nodes, so the exact Hessian is tridiagonal.  The energy, gradient and
+Hessian are three tiers of one pass over the cells, each handing its cell
+arrays on, so a field is evaluated only as deep as it is read.  Minimizers
+are found by a damped Newton method with a Levenberg shift toward the
+discrete L^2(mu) metric where the Hessian is indefinite and an Armijo line
+search on the energy.
 
 ``experiment_regularity`` runs the minimizer over a ladder of grids with
 warm starts and summarizes the level-set geometry of the solution: a
@@ -24,6 +26,7 @@ dispatch, for the experiment and for stored profiles alike.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import numbers
@@ -238,32 +241,43 @@ def _check_compatible(u: np.ndarray, grid: RadialGrid, spec: FunctionalSpec) -> 
 # --------------------------------------------------------------------------
 # energy and its derivatives
 # --------------------------------------------------------------------------
-def _evaluate(u, h, meas, fbar, beta1, b, ap, p, eps) -> tuple:
-    """Energy, then gradient g and exact tridiagonal Hessian (diag, off) over the free nodes.
-
-    One pass over the cells builds every cell array once.  Cell i adds
-    meas (a J - f ubar) to the energy, half -/+ flux to g at (i, i+1) and,
-    from its a''J, aJ'' and a'J' terms, w1 [[1,1],[1,1]] + w2 [[1,-1],[-1,1]]
-    + w3 diag(-1,1) to H.
-    """
+def _energy(u, h, meas, fbar, beta1, b, ap, p, eps) -> tuple:
+    """Energy, cell i adding meas (a J - f ubar), and the cell arrays that the later tiers read."""
     ubar = 0.5 * (u[:-1] + u[1:])
     du = (u[1:] - u[:-1]) / h
     base = b + np.abs(ubar)
     a = beta1 / base**ap
-    da = -ap * beta1 * np.sign(ubar) / base ** (ap + 1)
-    dda = ap * (ap + 1) * beta1 / base ** (ap + 2)
     du2 = du * du
     q = eps * eps + du2
-    q_power = q ** (p / 2 - 1)
     je = q ** (p / 2) - eps**p
     energy = float((meas * (a * je - fbar * ubar)).sum())
+    return energy, (ubar, du, base, a, du2, q, je)
+
+
+def _gradient(cells, h, meas, fbar, beta1, b, ap, p, eps) -> tuple:
+    """Gradient g over the free nodes: cell i adds half -/+ flux at (i, i+1)."""
+    ubar, du, base, a, _, q, je = cells
+    da = -ap * beta1 * np.sign(ubar) / base ** (ap + 1)
+    q_power = q ** (p / 2 - 1)
     jp = p * du * q_power
     meas_a = meas * a
     half = 0.5 * meas * (da * je - fbar)
     flux = meas_a * jp / h
-    g = np.zeros(u.size - 1)
+    g = np.zeros(ubar.size)
     g += half - flux
     g[1:] += half[:-1] + flux[:-1]
+    return g, (da, q_power, jp, meas_a)
+
+
+def _hessian(cells, more, h, meas, fbar, beta1, b, ap, p, eps) -> tuple:
+    """Exact tridiagonal Hessian (diag, off) over the free nodes.
+
+    Cell i adds, from its a''J, aJ'' and a'J' terms, w1 [[1,1],[1,1]]
+    + w2 [[1,-1],[-1,1]] + w3 diag(-1,1).
+    """
+    _, _, base, _, du2, q, je = cells
+    da, q_power, jp, meas_a = more
+    dda = ap * (ap + 1) * beta1 / base ** (ap + 2)
     # J'' = p q^(p/2-1) (1 + (p-2) t^2/q), finite at q = 0 for p >= 2
     slope_share = np.divide(du2, q, out=np.zeros(q.shape), where=q > 0.0)
     jpp = p * q_power * (1.0 + (p - 2.0) * slope_share)
@@ -273,7 +287,7 @@ def _evaluate(u, h, meas, fbar, beta1, b, ap, p, eps) -> tuple:
     w3 = meas * da * jp / h
     diag = w12 - w3
     diag[1:] += (w12 + w3)[:-1]
-    return energy, g, diag, (w1 - w2)[:-1]
+    return diag, (w1 - w2)[:-1]
 
 
 def _tridiagonal_solve(diag, off, rhs) -> Optional[np.ndarray]:
@@ -334,19 +348,19 @@ def _coefficients(spec: FunctionalSpec) -> Tuple[float, float, float, float, flo
 
 
 def assemble_energy(field: DiscreteField, grid: RadialGrid, spec: FunctionalSpec) -> float:
-    """Discrete energy of the field; exact for piecewise-linear test fields."""
+    """Discrete energy of the field, from the energy tier alone; exact for piecewise-linear test fields."""
     u = field.nodal_values
     _check_compatible(u, grid, spec)
-    beta1, b, ap, p, eps = _coefficients(spec)
-    # epsilon = 0 with p < 2 divides by zero in J' only, not in the energy
+    # b_const near 0 can underflow (b + |u|)^(alpha p) to 0, so a and the energy read inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _evaluate(u, grid.spacing, grid.cell_measures, spec.source, beta1, b, ap, p, eps)[0]
+        return _energy(u, grid.spacing, grid.cell_measures, spec.source, *_coefficients(spec))[0]
 
 
 def energy_gradient(field: DiscreteField, grid: RadialGrid, spec: FunctionalSpec) -> np.ndarray:
     """Euclidean gradient of the energy over the free (non-boundary) nodes.
 
-    With epsilon = 0 and p < 2 the p-energy density is not differentiable
+    The energy and gradient tiers run, and no Hessian is built.  With
+    epsilon = 0 and p < 2 the p-energy density is not differentiable
     at vanishing slope, so that combination is rejected.
     """
     u = field.nodal_values
@@ -354,8 +368,9 @@ def energy_gradient(field: DiscreteField, grid: RadialGrid, spec: FunctionalSpec
     beta1, b, ap, p, eps = _coefficients(spec)
     if eps == 0.0 and p < 2.0:
         raise ValueError("epsilon must be positive when p < 2 (nonsmooth density)")
+    args = (grid.spacing, grid.cell_measures, spec.source, beta1, b, ap, p, eps)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _evaluate(u, grid.spacing, grid.cell_measures, spec.source, beta1, b, ap, p, eps)[1]
+        return _gradient(_energy(u, *args)[1], *args)[0]
 
 
 # --------------------------------------------------------------------------
@@ -394,7 +409,7 @@ class MinimizeReport:
     resolution counts as an iteration.  ``final_gradient_norm`` is the
     gradient norm at ``final_field``.  ``energy_trace`` is a tuple of the
     energy at the start and after every accepted iteration, so its length
-    is iterations + 1.
+    is iterations + 1.  ``backtracks`` counts the rejected line-search trials.
     """
 
     final_field: DiscreteField
@@ -402,6 +417,7 @@ class MinimizeReport:
     iterations: int
     final_gradient_norm: float
     energy_trace: Tuple[float, ...]
+    backtracks: int
 
     @property
     def converged(self) -> bool:
@@ -413,22 +429,24 @@ def _dual_norm(g: np.ndarray, metric: np.ndarray) -> float:
     return math.sqrt(float(g @ (g / metric)))
 
 
-def _line_search(u, direction, energy, decrement, args) -> Optional[Tuple[np.ndarray, tuple]]:
-    """Armijo backtracking from the full step; (field, its evaluation) or None below the floor.
+def _line_search(u, direction, energy, decrement, args) -> Tuple[int, Optional[tuple]]:
+    """Armijo backtracking from the full step on trial energies alone.
 
-    Raises :class:`NonFiniteEnergyError` when no trial energy down to the floor is finite.
+    Returns (rejected trials, (field, energy, cells) or None below the floor); raises
+    :class:`NonFiniteEnergyError` when no trial energy down to the floor is finite.
     """
-    step, finite = 1.0, False
+    step, finite, rejected = 1.0, False, 0
     while step >= _STEP_FLOOR:
         trial = u.copy()
         trial[:-1] += step * direction
-        evaluation = _evaluate(trial, *args)
-        if math.isfinite(evaluation[0]) and energy - evaluation[0] >= _ARMIJO * step * decrement:
-            return trial, evaluation
-        finite = finite or math.isfinite(evaluation[0])
+        trial_energy, cells = _energy(trial, *args)
+        if math.isfinite(trial_energy) and energy - trial_energy >= _ARMIJO * step * decrement:
+            return rejected, (trial, trial_energy, cells)
+        finite = finite or math.isfinite(trial_energy)
         step *= 0.5
+        rejected += 1
     if finite:
-        return None
+        return rejected, None
     raise NonFiniteEnergyError(
         "no line-search trial has a finite energy; the full Newton step reaches"
         f" max |u| = {float(np.max(np.abs(u[:-1] + direction))):.3g}"
@@ -455,7 +473,9 @@ def minimize(
     not.  On fine grids the last residual sits at the first nodes, whose
     tiny nodal measures make the gradient norm see an error the energy
     cannot.  The solve stops when the gradient norm reaches
-    ``grad_tol``; see ``MinimizeReport`` for the statuses.  A starting
+    ``grad_tol``; see ``MinimizeReport`` for the statuses.  A line-search
+    trial costs its energy alone, an accepted field its gradient too, and
+    a Hessian is built only to solve for a Newton direction.  A starting
     energy, or every trial energy of a line search, that is not finite,
     and a Hessian that no finite shift makes positive definite raise
     :class:`NonFiniteEnergyError`.
@@ -475,13 +495,13 @@ def minimize(
     with np.errstate(over="ignore", invalid="ignore"):
         # b_const near 0 can underflow (b + |u|)^(alpha p) to 0, so a and the energy read inf
         with np.errstate(divide="ignore"):
-            evaluation = _evaluate(u, *args)
-        if not math.isfinite(evaluation[0]):
-            raise NonFiniteEnergyError(f"initial energy is {evaluation[0]}")
-        trace = [evaluation[0]]
-        iterations = 0
+            energy, cells = _energy(u, *args)
+            if not math.isfinite(energy):
+                raise NonFiniteEnergyError(f"initial energy is {energy}")
+            g, more = _gradient(cells, *args)
+        trace = [energy]
+        iterations = backtracks = 0
         while True:
-            energy, g, diag, off = evaluation
             grad_norm = _dual_norm(g, metric)
             if grad_norm <= tolerances.grad_tol:
                 status = "converged"
@@ -489,6 +509,9 @@ def minimize(
             if iterations >= tolerances.max_iters:
                 status = "max_iters"
                 break
+            # like the start's energy and gradient, its first Hessian may read inf unwarned
+            with np.errstate(divide="ignore") if iterations == 0 else contextlib.nullcontext():
+                diag, off = _hessian(cells, more, *args)
             direction = _newton_direction(diag, off, metric, g)
             if direction is None:
                 raise NonFiniteEnergyError(
@@ -502,20 +525,21 @@ def minimize(
                 # the energy cannot rank this step; the gradient norm can
                 trial = u.copy()
                 trial[:-1] += direction
-                accepted = trial, _evaluate(trial, *args)
-                if not (
-                    math.isfinite(accepted[1][0])
-                    and _dual_norm(accepted[1][1], metric) <= _ROUNDOFF_GAIN * grad_norm
-                ):
+                accepted = trial, *_energy(trial, *args)
+                gradient = _gradient(accepted[2], *args) if math.isfinite(accepted[1]) else None
+                if gradient is None or not _dual_norm(gradient[0], metric) <= _ROUNDOFF_GAIN * grad_norm:
                     status = "roundoff"
                     break
             else:
-                accepted = _line_search(u, direction, energy, decrement, args)
-            if accepted is None:
-                status = "stagnated"
-                break
-            u, evaluation = accepted
-            trace.append(evaluation[0])
+                rejected, accepted = _line_search(u, direction, energy, decrement, args)
+                backtracks += rejected
+                if accepted is None:
+                    status = "stagnated"
+                    break
+                gradient = _gradient(accepted[2], *args)
+            u, energy, cells = accepted
+            g, more = gradient
+            trace.append(energy)
             iterations += 1
 
     return MinimizeReport(
@@ -524,6 +548,7 @@ def minimize(
         iterations=iterations,
         final_gradient_norm=grad_norm,
         energy_trace=tuple(trace),
+        backtracks=backtracks,
     )
 
 

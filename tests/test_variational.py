@@ -56,7 +56,9 @@ from leveldecay.variational import (
     _PROFILE_LEVELS,
     _TAIL_SPAN,
     _coefficients,
-    _evaluate,
+    _energy,
+    _gradient,
+    _hessian,
     _level_index,
     _newton_direction,
     _pair_levels,
@@ -318,6 +320,13 @@ def test_functional_spec_rejects_an_epsilon_whose_power_overflows(p, epsilon):
     make_spec(grid, p=p, alpha=0.1, epsilon=1e100)  # epsilon ** p is a float
 
 
+def _tiers(u, *args):
+    """Energy, gradient and Hessian of one field through the three tiers: (energy, g, diag, off)."""
+    energy, cells = _energy(u, *args)
+    g, more = _gradient(cells, *args)
+    return (energy, g, *_hessian(cells, more, *args))
+
+
 # ---------------------------------------------------------------- hessian
 @given(
     p=st.sampled_from([1.5, 2.0, 3.0]),
@@ -335,7 +344,7 @@ def test_hessian_matches_finite_differences(p, alpha, epsilon, seed):
     rng = np.random.default_rng(seed)
     u = np.zeros(cells + 1)
     u[:-1] = rng.uniform(0.1, 3.0, cells)  # positive: no cell midpoint at the kink of a
-    _, _, diag, off = _evaluate(u, grid.spacing, grid.cell_measures, spec.source, *_coefficients(spec))
+    _, _, diag, off = _tiers(u, grid.spacing, grid.cell_measures, spec.source, *_coefficients(spec))
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     hfd = np.empty((cells, cells))
     for i in range(cells):
@@ -430,7 +439,7 @@ def test_derivatives_match_separate_gradient_and_hessian(p, alpha, epsilon, n, s
     u = np.array(free + [0.0])
     args = (u, grid.spacing, grid.cell_measures, source, *_coefficients(spec))
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _evaluate(*args)
+        got = _tiers(*args)
         want = (_energy_oracle(*args), _gradient_oracle(*args), *_hessian_oracle(*args))
     for mine, oracle in zip(got, want):
         assert np.array_equal(mine, oracle)
@@ -550,7 +559,7 @@ def test_evaluate_matches_the_kernel_before_bitwise(p, epsilon, alpha, b_const, 
     u = np.array(free + [0.0])
     args = (u, grid.spacing, grid.cell_measures, math.copysign(1.0, scale) * spec.source, *_coefficients(spec))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        got, want = _evaluate(*args), _evaluate_before(*args)
+        got, want = _tiers(*args), _evaluate_before(*args)
     assert all(_same_bits(mine, oracle) for mine, oracle in zip(got, want))
 
 
@@ -690,31 +699,198 @@ def test_minimize_scaling_equivariance():
     ],
 )
 def test_minimize_evaluates_each_field_once(monkeypatch, p, alpha, r, cells, extra):
-    fields, norms = [], []
-    evaluate, dual_norm = variational._evaluate, variational._dual_norm
+    energies, gradients, hessians, norms = [], [], [], []
+    energy, gradient, hessian, dual_norm = (
+        variational._energy, variational._gradient, variational._hessian, variational._dual_norm
+    )
 
-    def recording_evaluate(u, *args):
-        fields.append(u.tobytes())
-        return evaluate(u, *args)
+    def recording_energy(u, *args):
+        value, cell_arrays = energy(u, *args)
+        energies.append((u.tobytes(), cell_arrays))
+        return value, cell_arrays
+
+    def recording_gradient(cell_arrays, *args):
+        gradients.append(cell_arrays)
+        return gradient(cell_arrays, *args)
+
+    def recording_hessian(cell_arrays, more, *args):
+        hessians.append(cell_arrays)
+        return hessian(cell_arrays, more, *args)
 
     def counting_dual_norm(g, metric):
         norms.append(g.size)
         return dual_norm(g, metric)
 
-    monkeypatch.setattr(variational, "_evaluate", recording_evaluate)
+    monkeypatch.setattr(variational, "_energy", recording_energy)
+    monkeypatch.setattr(variational, "_gradient", recording_gradient)
+    monkeypatch.setattr(variational, "_hessian", recording_hessian)
     monkeypatch.setattr(variational, "_dual_norm", counting_dual_norm)
     params = ProblemParams(n=4, p=p, alpha=alpha, r=r, beta1=1.0, b_const=1.0)
     report = experiment_regularity(params, cells, TRICHOTOMY_TOL)
     assert report.statuses == ["converged"] * len(cells)
+    fields = [field for field, _ in energies]
     assert len(set(fields)) == len(fields)
-    # every solve evaluates its start and each accepted field, and takes
-    # one gradient norm at each; a roundoff check takes one more norm,
-    # a rejected line-search trial one more evaluation
-    accepted = len(cells) + sum(run.iterations for run in report.reports)
+    # the field whose energy built each handed-on set of cell arrays
+    field_of = {id(cell_arrays): field for field, cell_arrays in energies}
+    with_gradient = [field_of[id(cell_arrays)] for cell_arrays in gradients]
+    with_hessian = [field_of[id(cell_arrays)] for cell_arrays in hessians]
+    # every solve takes the energy and gradient of its start and of each
+    # accepted field, one gradient norm at each, and a Hessian for each
+    # Newton direction; a roundoff check takes one more norm, a rejected
+    # line-search trial one more energy and nothing else
+    iterations = sum(run.iterations for run in report.reports)
+    backtracks = sum(run.backtracks for run in report.reports)
+    accepted = len(cells) + iterations
+    assert len(set(with_gradient)) == len(with_gradient) == accepted
+    assert len(set(with_hessian)) == len(with_hessian) == iterations
+    assert set(with_hessian) <= set(with_gradient)
+    assert len(fields) == accepted + backtracks
     if extra == "roundoff checks":
-        assert len(norms) > accepted and len(fields) == accepted
+        assert len(norms) > accepted and backtracks == 0
     else:
-        assert len(fields) > accepted and len(norms) == accepted
+        assert len(norms) == accepted and backtracks == 29
+
+
+def test_trichotomy_solves_reject_no_trial(trichotomy_runs):
+    for report in trichotomy_runs.values():
+        assert [run.backtracks for run in report.reports] == [0] * len(report.reports)
+
+
+@pytest.mark.parametrize("b_const", [1e-300, 1e-200, 1e-160])
+def test_minimize_builds_the_first_hessian_under_the_start_error_state(b_const):
+    # (b + |u|)^(alpha p + 2) underflows to 0 in the Hessian of the zero start;
+    # it reads inf there, as the start's energy and gradient may, without a warning
+    grid = RadialGrid(n=4, radius=1.0, cells=16)
+    spec = make_spec(grid, b_const=b_const)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteEnergyError, match="16 of 16 diagonal and 15 of 15 off-diagonal"):
+            minimize(grid, spec, DiscreteField(np.zeros(17)), SolverTolerances())
+
+
+@pytest.mark.parametrize("b_const", [1e-150, 1e-200])
+def test_energy_gradient_builds_no_hessian_term(b_const):
+    # (b + |u|)^(alpha p + 2) underflows to 0, but only the Hessian divides by it
+    grid = RadialGrid(n=4, radius=1.0, cells=16)
+    spec = make_spec(grid, b_const=b_const)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        g = energy_gradient(DiscreteField(np.zeros(17)), grid, spec)
+    assert np.isfinite(g).all()
+    assert np.allclose(g[:2], [-0.04966047, -0.16295297], rtol=1e-6, atol=0.0)
+
+
+def _minimize_before(grid, spec, initial, tolerances):
+    """``minimize`` before its tiers: every field, trials too, through ``_evaluate_before``.
+
+    Returns (status, iterations, energy trace, final nodal values, final
+    gradient norm, rejected line-search trials).
+    """
+    u = initial.nodal_values.copy()
+    args = (grid.spacing, grid.cell_measures, spec.source, *_coefficients(spec))
+    metric = 0.5 * grid.cell_measures
+    metric[1:] += 0.5 * grid.cell_measures[:-1]
+    rejected = 0
+
+    def line_search(u, direction, energy, decrement):
+        nonlocal rejected
+        step, finite = 1.0, False
+        while step >= variational._STEP_FLOOR:
+            trial = u.copy()
+            trial[:-1] += step * direction
+            evaluation = _evaluate_before(trial, *args)
+            if math.isfinite(evaluation[0]) and energy - evaluation[0] >= variational._ARMIJO * step * decrement:
+                return trial, evaluation
+            finite = finite or math.isfinite(evaluation[0])
+            step *= 0.5
+            rejected += 1
+        if finite:
+            return None
+        raise NonFiniteEnergyError("no line-search trial has a finite energy")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore"):
+            evaluation = _evaluate_before(u, *args)
+        if not math.isfinite(evaluation[0]):
+            raise NonFiniteEnergyError(f"initial energy is {evaluation[0]}")
+        trace = [evaluation[0]]
+        iterations = 0
+        while True:
+            energy, g, diag, off = evaluation
+            grad_norm = variational._dual_norm(g, metric)
+            if grad_norm <= tolerances.grad_tol:
+                status = "converged"
+                break
+            if iterations >= tolerances.max_iters:
+                status = "max_iters"
+                break
+            direction = _newton_direction(diag, off, metric, g)
+            if direction is None:
+                raise NonFiniteEnergyError("no finite shift makes the Hessian positive definite")
+            decrement = -float(g @ direction)
+            if decrement <= variational._ROUNDOFF * abs(energy):
+                trial = u.copy()
+                trial[:-1] += direction
+                accepted = trial, _evaluate_before(trial, *args)
+                if not (
+                    math.isfinite(accepted[1][0])
+                    and variational._dual_norm(accepted[1][1], metric) <= variational._ROUNDOFF_GAIN * grad_norm
+                ):
+                    status = "roundoff"
+                    break
+            else:
+                accepted = line_search(u, direction, energy, decrement)
+            if accepted is None:
+                status = "stagnated"
+                break
+            u, evaluation = accepted
+            trace.append(evaluation[0])
+            iterations += 1
+    return status, iterations, trace, u, grad_norm, rejected
+
+
+def _solve_or_error(solve, *args):
+    try:
+        return solve(*args)
+    except NonFiniteEnergyError as exc:
+        return type(exc)
+
+
+@given(
+    p=st.sampled_from([1.5, 2.0, 3.0]),
+    alpha=st.floats(min_value=0.0, max_value=0.5),
+    r=st.sampled_from([1.25, 1.75, 2.0, 3.0]),
+    b_const=st.sampled_from([1.0, 1e-3]),
+    cells=st.integers(min_value=16, max_value=128),
+    warm=st.booleans(),
+)
+# the FOUND ladder: 29 rejected trials on the cold 64-cell grid, none on the warm 128
+@example(p=3.0, alpha=0.1, r=1.25, b_const=1.0, cells=64, warm=False)
+@example(p=3.0, alpha=0.1, r=1.25, b_const=1.0, cells=128, warm=True)
+# a warm 2048-cell grid at r = 3 takes one full step past the energy's resolution
+@example(p=2.0, alpha=0.25, r=3.0, b_const=1.0, cells=2048, warm=True)
+@settings(max_examples=30, deadline=None)
+def test_minimize_matches_the_loop_before_tiers_bitwise(p, alpha, r, b_const, cells, warm):
+    assume(alpha * holder_conjugate(p) < 1.0)
+    tolerances = SolverTolerances(grad_tol=1e-6, max_iters=200)
+    grid = RadialGrid(n=4, radius=1.0, cells=cells)
+    spec = make_spec(grid, p=p, alpha=alpha, r=r, b_const=b_const)
+    start = np.zeros(cells + 1)
+    if warm:  # as experiment_regularity starts a grid from the one before
+        coarse = RadialGrid(n=4, radius=1.0, cells=cells // 2)
+        coarse_spec = make_spec(coarse, p=p, alpha=alpha, r=r, b_const=b_const)
+        before = minimize(coarse, coarse_spec, DiscreteField(np.zeros(coarse.cells + 1)), tolerances)
+        start = np.interp(grid.nodes, coarse.nodes, before.final_field.nodal_values)
+    got = _solve_or_error(minimize, grid, spec, DiscreteField(start), tolerances)
+    want = _solve_or_error(_minimize_before, grid, spec, DiscreteField(start), tolerances)
+    if isinstance(want, type):
+        assert got is want
+        return
+    status, iterations, trace, u, grad_norm, rejected = want
+    assert (got.status, got.iterations, got.backtracks) == (status, iterations, rejected)
+    assert np.array(got.energy_trace).tobytes() == np.array(trace).tobytes()
+    assert got.final_field.nodal_values.tobytes() == u.tobytes()
+    assert np.float64(got.final_gradient_norm).tobytes() == np.float64(grad_norm).tobytes()
 
 
 def test_minimize_nonfinite_initial_energy():
