@@ -3,8 +3,10 @@
 Every subcommand reads an INI config file (sections and keys are
 validated strictly: unknown names are errors, as are missing required
 ones) and prints either a small CSV table or ``key=value`` lines to
-stdout.  Floats are rendered with ``repr`` so emitted tables round-trip
-bit-identically through :func:`load_psi_table`.
+stdout.  Every value is read as its key's type when the file is loaded,
+whether or not the subcommand uses it.  Floats are rendered with
+``repr`` so emitted tables round-trip bit-identically through
+:func:`load_psi_table`.
 
 Subcommands
 -----------
@@ -45,7 +47,7 @@ import math
 import os
 import sys
 from typing import (
-    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, TextIO, Tuple,
+    Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, TextIO, Tuple,
 )
 
 import numpy as np
@@ -87,23 +89,40 @@ class ConfigError(Exception):
 
 
 # --------------------------------------------------------------------------
-# config schemas: section -> (required, {key -> required})
+# config schemas: section -> (required, {key -> (kind, required)})
 
-_Schema = Dict[str, Tuple[bool, Dict[str, bool]]]
+_Schema = Dict[str, Tuple[bool, Dict[str, Tuple[type, bool]]]]
+_Config = Dict[str, Dict[str, Any]]  # section -> {key -> value of its kind}
 
-_LEMMA_KEYS = {"c1": True, "A": True, "B": True, "C": True, "D": True, "k0": False, "psi_at_k0": False}
-_PROBLEM_KEYS = {
-    "n": True, "p": True, "alpha": True, "r": True, "beta1": False, "b_const": False, "source_scale": False,
+_LEMMA_KEYS = {
+    "c1": (float, True), "A": (float, True), "B": (float, True), "C": (float, True),
+    "D": (float, True), "k0": (float, False), "psi_at_k0": (float, False),
 }
-_GRID_KEYS = {"cells": True, "radius": False, "refinements": False}
-_SOLVER_KEYS = {"grad_tol": False, "max_iters": False, "epsilon": False}
-_OUTPUT_KEYS = {"directory": False}
+_PROBLEM_KEYS = {
+    "n": (int, True), "p": (float, True), "alpha": (float, True), "r": (float, True),
+    "beta1": (float, False), "b_const": (float, False), "source_scale": (float, False),
+}
+_GRID_KEYS = {"cells": (int, True), "radius": (float, False), "refinements": (int, False)}
+_SOLVER_KEYS = {"grad_tol": (float, False), "max_iters": (int, False), "epsilon": (float, False)}
+_OUTPUT_KEYS = {"directory": (str, False)}
 _LEMMA: _Schema = {"lemma": (True, _LEMMA_KEYS)}
 _PROBLEM: _Schema = {"problem": (True, _PROBLEM_KEYS)}
 _LADDER: _Schema = {**_PROBLEM, "grid": (True, _GRID_KEYS), "solver": (False, _SOLVER_KEYS)}
 
 
-def _load_config(path: str, schema: _Schema) -> configparser.ConfigParser:
+def _required(values: Mapping[str, Any], section: str, key: str) -> Any:
+    """The value of ``key`` in ``section``, which must set it."""
+    if key not in values:
+        raise ConfigError(f"missing required key {key} in section [{section}]")
+    return values[key]
+
+
+def _load_config(path: str, schema: _Schema) -> _Config:
+    """The config at ``path`` as {section: {key: value of the key's kind}}.
+
+    Names are checked first; then every value present is converted in
+    schema order, used or not.  An absent optional section reads as {}.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # type: ignore[method-assign]  # exponent names are case sensitive
     try:
@@ -122,49 +141,27 @@ def _load_config(path: str, schema: _Schema) -> configparser.ConfigParser:
         for key in parser[section]:
             if key not in keys:
                 raise ConfigError(f"unexpected key {key} in section [{section}]")
-        for key, key_required in keys.items():
-            if key_required and key not in parser[section]:
-                raise ConfigError(
-                    f"missing required key {key} in section [{section}]"
-                )
-    return parser
+        for key, (_, key_required) in keys.items():
+            if key_required:
+                _required(parser[section], section, key)
+    config: _Config = {section: {} for section in schema}
+    for section, (_, keys) in schema.items():
+        for key, (kind, _) in keys.items():
+            if parser.has_option(section, key):
+                raw = parser.get(section, key)
+                try:
+                    config[section][key] = kind(raw)
+                except ValueError as exc:
+                    noun = "a number" if kind is float else "an integer"
+                    raise ConfigError(
+                        f"key {key} in section [{section}] is not {noun}: {raw!r}"
+                    ) from exc
+    return config
 
 
-def _read(
-    cfg: configparser.ConfigParser,
-    section: str,
-    key: str,
-    kind: type = float,
-    default: Optional[float] = None,
-) -> Any:
-    """The value of ``key`` in ``section`` as ``kind`` (float or int).
-
-    An absent key reads ``default``, and is an error without one.
-    """
-    if not cfg.has_option(section, key):
-        if default is None:
-            raise ConfigError(f"missing required key {key} in section [{section}]")
-        return default
-    raw = cfg.get(section, key)
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        noun = "a number" if kind is float else "an integer"
-        raise ConfigError(
-            f"key {key} in section [{section}] is not {noun}: {raw!r}"
-        ) from exc
-
-
-def _options(cfg: configparser.ConfigParser, section: str, **kinds: type) -> Dict[str, Any]:
-    """The keys of ``kinds`` that ``section`` sets, each read as its kind.
-
-    Keys the config leaves out are left to the library's own defaults.
-    """
-    return {
-        key: _read(cfg, section, key, kind)
-        for key, kind in kinds.items()
-        if cfg.has_option(section, key)
-    }
+def _pick(values: Mapping[str, Any], *keys: str) -> Dict[str, Any]:
+    """The ``keys`` that ``values`` sets; the others keep the library's own defaults."""
+    return {key: values[key] for key in keys if key in values}
 
 
 # --------------------------------------------------------------------------
@@ -226,24 +223,18 @@ def _parse_rows(lines: List[str], path: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _hypothesis_from(cfg: configparser.ConfigParser) -> DecayHypothesis:
-    return DecayHypothesis(
-        **_options(cfg, "lemma", c1=float, A=float, B=float, C=float, D=float, k0=float)
-    )
+def _hypothesis_from(lemma: Mapping[str, Any]) -> DecayHypothesis:
+    return DecayHypothesis(**_pick(lemma, "c1", "A", "B", "C", "D", "k0"))
 
 
-def _params_from(cfg: configparser.ConfigParser, **given: float) -> ProblemParams:
-    """The ``[problem]`` parameters; those in ``given`` are not read from the config."""
-    kinds = dict(n=int, p=float, alpha=float, r=float, beta1=float, b_const=float)
-    return ProblemParams(
-        **_options(cfg, "problem", **{k: v for k, v in kinds.items() if k not in given}),
-        **given,
-    )
+def _params_from(problem: Mapping[str, Any], **given: float) -> ProblemParams:
+    """The ``[problem]`` parameters; those in ``given`` replace the config's."""
+    return ProblemParams(**{**_pick(problem, "n", "p", "alpha", "r", "beta1", "b_const"), **given})
 
 
-def _grid_ladder(cfg: configparser.ConfigParser) -> Tuple[int, ...]:
-    cells = _read(cfg, "grid", "cells", int)
-    refinements = _read(cfg, "grid", "refinements", int, 1)
+def _grid_ladder(grid: Mapping[str, Any]) -> Tuple[int, ...]:
+    cells = grid["cells"]
+    refinements = grid.get("refinements", 1)
     if refinements < 1:
         raise ConfigError(f"refinements must be >= 1, got {refinements}")
     if cells < 1:
@@ -256,21 +247,22 @@ def _grid_ladder(cfg: configparser.ConfigParser) -> Tuple[int, ...]:
     return tuple(cells // 2 ** (refinements - 1 - i) for i in range(refinements))
 
 
-def _experiment(cfg: configparser.ConfigParser, params: ProblemParams) -> ExperimentReport:
+def _experiment(config: _Config, params: ProblemParams) -> ExperimentReport:
     """The grid-ladder experiment of ``params`` with the ``[grid]`` and
     ``[solver]`` sections."""
+    solver = config["solver"]
     return experiment_regularity(
         params,
-        _grid_ladder(cfg),
-        SolverTolerances(**_options(cfg, "solver", grad_tol=float, max_iters=int)),
-        **_options(cfg, "grid", radius=float),
-        **_options(cfg, "problem", source_scale=float),
-        **_options(cfg, "solver", epsilon=float),
+        _grid_ladder(config["grid"]),
+        SolverTolerances(**_pick(solver, "grad_tol", "max_iters")),
+        **_pick(config["grid"], "radius"),
+        **_pick(config["problem"], "source_scale"),
+        **_pick(solver, "epsilon"),
     )
 
 
-def _output_directory(cfg: configparser.ConfigParser) -> str:
-    directory = cfg.get("output", "directory", fallback=".")
+def _output_directory(config: _Config) -> str:
+    directory = config["output"].get("directory", ".")
     os.makedirs(directory, exist_ok=True)
     return directory
 
@@ -307,9 +299,9 @@ def _save_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]
 # subcommands
 
 
-def _cmd_constants(cfg: configparser.ConfigParser, args: argparse.Namespace) -> int:
-    hyp = _hypothesis_from(cfg)
-    psi_at_k0 = _read(cfg, "lemma", "psi_at_k0", float, 0.0)
+def _cmd_constants(config: _Config, args: argparse.Namespace) -> int:
+    hyp = _hypothesis_from(config["lemma"])
+    psi_at_k0 = config["lemma"].get("psi_at_k0", 0.0)
     case = classify(hyp)
     if case.tag is CaseTag.UNCLASSIFIED:
         env = EnvelopeConstants(case)
@@ -323,8 +315,8 @@ def _cmd_constants(cfg: configparser.ConfigParser, args: argparse.Namespace) -> 
     return 0
 
 
-def _cmd_exponents(cfg: configparser.ConfigParser, args: argparse.Namespace) -> int:
-    params = _params_from(cfg)
+def _cmd_exponents(config: _Config, args: argparse.Namespace) -> int:
+    params = _params_from(config["problem"])
     exps = compute_exponents(params)
     header = (
         "n", "p", "alpha", "r",
@@ -341,10 +333,10 @@ def _cmd_exponents(cfg: configparser.ConfigParser, args: argparse.Namespace) -> 
     return 0
 
 
-def _cmd_verify(cfg: configparser.ConfigParser, args: argparse.Namespace) -> int:
-    hyp = _hypothesis_from(cfg)
+def _cmd_verify(config: _Config, args: argparse.Namespace) -> int:
+    hyp = _hypothesis_from(config["lemma"])
     table = load_psi_table(args.psi)
-    psi_at_k0 = _read(cfg, "lemma", "psi_at_k0", float, table.values[0])
+    psi_at_k0 = config["lemma"].get("psi_at_k0", table.values[0])
     case = classify(hyp)
     if case.tag is CaseTag.UNCLASSIFIED:
         raise ConfigError(
@@ -368,9 +360,9 @@ def _cmd_verify(cfg: configparser.ConfigParser, args: argparse.Namespace) -> int
     return 0 if passed else 1
 
 
-def _cmd_counterexample(cfg: configparser.ConfigParser, args: argparse.Namespace) -> int:
+def _cmd_counterexample(config: _Config, args: argparse.Namespace) -> int:
     name = args.name
-    directory = _output_directory(cfg)
+    directory = _output_directory(config)
     if name == "log_square":
         psi = log_square_psi()
         hyp = DecayHypothesis(
@@ -386,8 +378,8 @@ def _cmd_counterexample(cfg: configparser.ConfigParser, args: argparse.Namespace
                 ("envelope_log_at_k_star", cert.envelope_log),
             ]
     elif name == "exp_power":
-        c_exp = _read(cfg, "lemma", "C")
-        d_exp = _read(cfg, "lemma", "D")
+        c_exp = _required(config["lemma"], "lemma", "C")
+        d_exp = _required(config["lemma"], "lemma", "D")
         psi = exp_power_psi(c_exp)
         k0 = k0_for_exp_power(d_exp, c_exp)
         hyp = DecayHypothesis(c1=1.0, A=1.0, B=c_exp, C=c_exp, D=d_exp, k0=k0)
@@ -423,11 +415,11 @@ def _cmd_counterexample(cfg: configparser.ConfigParser, args: argparse.Namespace
     return 0 if doubling.passed and cert is not None else 1
 
 
-def _cmd_minimize(cfg: configparser.ConfigParser, args: argparse.Namespace) -> int:
-    params = _params_from(cfg)
-    report = _experiment(cfg, params)
+def _cmd_minimize(config: _Config, args: argparse.Namespace) -> int:
+    params = _params_from(config["problem"])
+    report = _experiment(config, params)
     exps = compute_exponents(params)
-    directory = _output_directory(cfg)
+    directory = _output_directory(config)
 
     last = report.runs[-1]
     field = last.report.final_field.nodal_values
@@ -479,8 +471,8 @@ def _fit_pairs(fit: FitResult) -> List[Tuple[str, object]]:
     ]
 
 
-def _cmd_analyze(cfg: configparser.ConfigParser, args: argparse.Namespace) -> int:
-    params = _params_from(cfg)
+def _cmd_analyze(config: _Config, args: argparse.Namespace) -> int:
+    params = _params_from(config["problem"])
     table = load_psi_table(args.profile)
     profile = DistributionProfile(table.knots, table.values, table.values[0])
     summary = summarize(profile, compute_exponents(params))
@@ -504,7 +496,7 @@ def _cmd_analyze(cfg: configparser.ConfigParser, args: argparse.Namespace) -> in
     return 0
 
 
-def _cmd_sweep(cfg: configparser.ConfigParser, args: argparse.Namespace) -> int:
+def _cmd_sweep(config: _Config, args: argparse.Namespace) -> int:
     tokens = [token.strip() for token in args.r_values.split(",") if token.strip()]
     if not tokens:
         raise ConfigError("--r-values must list at least one value")
@@ -513,11 +505,11 @@ def _cmd_sweep(cfg: configparser.ConfigParser, args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"--r-values must be comma-separated numbers: {exc}") from exc
     # every r is validated before the first (costly) ladder runs; the
-    # config's own r is never read
-    param_sets = [_params_from(cfg, r=r_value) for r_value in r_values]
+    # config's own r is replaced
+    param_sets = [_params_from(config["problem"], r=r_value) for r_value in r_values]
     rows = []
     for params in param_sets:
-        report = _experiment(cfg, params)
+        report = _experiment(config, params)
         last = report.runs[-1]
         rows.append((params.r, report.regime.value, last.max_u, last.report.status))
     _write_csv(sys.stdout, ("r", "regime", "max_u", "status"), rows)
@@ -531,7 +523,7 @@ def _cmd_sweep(cfg: configparser.ConfigParser, args: argparse.Namespace) -> int:
 class _Command(NamedTuple):
     """One subcommand: its handler, help text, config schema and own option."""
 
-    handler: Callable[[configparser.ConfigParser, argparse.Namespace], int]
+    handler: Callable[[_Config, argparse.Namespace], int]
     help: str
     schema: _Schema
     option: Optional[Tuple[str, str]] = None  # required (flag, help), if any
@@ -550,7 +542,7 @@ _COMMANDS: Dict[str, _Command] = {
     ),
     "counterexample": _Command(
         _cmd_counterexample, "emit a named counterexample table",
-        {"lemma": (False, {"C": False, "D": False}), "output": (False, _OUTPUT_KEYS)},
+        {"lemma": (False, {"C": (float, False), "D": (float, False)}), "output": (False, _OUTPUT_KEYS)},
         ("--name", "counterexample family: log_square or exp_power"),
     ),
     "minimize": _Command(

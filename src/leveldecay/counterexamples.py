@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 from .lemma import (
     CaseTag,
@@ -107,7 +108,7 @@ class NamedPsi:
     k0: float
     evaluator: Callable[[float], float]
     log_evaluator: Callable[[float], float]
-    parameters: Dict[str, float] = field(default_factory=dict)
+    parameters: Mapping[str, float] = field(default_factory=lambda: MappingProxyType({}))
 
 
 def log_square_psi() -> NamedPsi:
@@ -131,7 +132,7 @@ def exp_power_psi(c_exp: float) -> NamedPsi:
         k0=1.0,
         evaluator=lambda k: psi_exp_power(k, c_exp),
         log_evaluator=lambda k: _log_psi_exp_power(k, p),
-        parameters={"c_exp": c_exp, "p": p},
+        parameters=MappingProxyType({"c_exp": c_exp, "p": p}),
     )
 
 

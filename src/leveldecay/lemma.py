@@ -850,13 +850,14 @@ def check_envelope(
 class GiustiResult:
     """Iterates of x_{i+1} = c_bar m^i x_i^beta and the decay bound.
 
-    ``premise_holds`` records whether x0 <= c_bar^{-1/(beta-1)}
-    m^{-1/(beta-1)^2}, compared through logs; ``bound_holds`` whether
-    every iterate satisfies x_i <= m^{-i/(beta-1)} x0 within 4 ulps;
-    ``first_violation`` is the first index breaking the bound, or None.
+    ``xs`` is the tuple x_0, ..., x_steps.  ``premise_holds`` records
+    whether x0 <= c_bar^{-1/(beta-1)} m^{-1/(beta-1)^2}, compared through
+    logs; ``bound_holds`` whether every iterate satisfies
+    x_i <= m^{-i/(beta-1)} x0 within 4 ulps; ``first_violation`` is the
+    first index breaking the bound, or None.
     """
 
-    xs: list
+    xs: Tuple[float, ...]
     premise_holds: bool
     bound_holds: bool
     first_violation: Optional[int]
@@ -904,7 +905,7 @@ def giusti_recursion(
             first_violation = i
             break
     return GiustiResult(
-        xs=xs,
+        xs=tuple(xs),
         premise_holds=premise_holds,
         bound_holds=bound_holds,
         first_violation=first_violation,

@@ -257,7 +257,8 @@ def _energy(u, h, meas, fbar, beta1, b, ap, p, eps) -> tuple:
 def _gradient(cells, h, meas, fbar, beta1, b, ap, p, eps) -> tuple:
     """Gradient g over the free nodes: cell i adds half -/+ flux at (i, i+1)."""
     ubar, du, base, a, _, q, je = cells
-    da = -ap * beta1 * np.sign(ubar) / base ** (ap + 1)
+    # a power that underflows to 0 reads as the smallest subnormal, so 0/0 at ubar = 0 is -0.0
+    da = -ap * beta1 * np.sign(ubar) / np.maximum(base ** (ap + 1), 5e-324)
     q_power = q ** (p / 2 - 1)
     jp = p * du * q_power
     meas_a = meas * a

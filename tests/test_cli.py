@@ -955,6 +955,85 @@ def test_non_numeric_key_rejected(tmp_path, capsys):
     )
 
 
+# every value is read as its key's type when the file is loaded, also one
+# that the subcommand never uses
+@pytest.mark.parametrize(
+    "config, argv, key",
+    [
+        pytest.param(
+            PROBLEM_SOBOLEV + "source_scale = {value}\n", ["exponents"],
+            "source_scale in section [problem]", id="exponents-source_scale",
+        ),
+        pytest.param(
+            PROBLEM_SOBOLEV + "source_scale = {value}\n",
+            ["analyze", "--profile", "{dir}/profile.csv"],
+            "source_scale in section [problem]", id="analyze-source_scale",
+        ),
+        pytest.param(
+            "[lemma]\nC = {value}\n[output]\ndirectory = {dir}\n",
+            ["counterexample", "--name", "log_square"],
+            "C in section [lemma]", id="log_square-C",
+        ),
+        pytest.param(
+            LADDER_32.replace("r = 1.75", "r = {value}"), ["sweep", "--r-values", "1.75"],
+            "r in section [problem]", id="sweep-r",
+        ),
+    ],
+)
+def test_unused_malformed_value_exits_2(tmp_path, capsys, config, argv, key):
+    write(tmp_path / "profile.csv", "k,measure\n" + "".join(
+        f"{1.1**i!r},{1.1 ** (-7.0 * i)!r}\n" for i in range(40)))
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    cfg = write(tmp_path / "c.ini", config.format(dir=tmp_path, value="abc"))
+    assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: key {key} is not a number: 'abc'\n")
+    write(tmp_path / "c.ini", config.format(dir=tmp_path, value="1.5"))  # a number runs
+    assert main([argv[0], "--config", cfg, *argv[1:]]) == 0
+
+
+# names are checked before any value; values are then read section by
+# section and key by key in schema order, not in the file's order
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        pytest.param(
+            LEMMA_POWER.replace("c1 = 1.0", "c1 = abc") + "bogus = 1\n", ["constants"],
+            "error: unexpected key bogus in section [lemma]",
+            id="unexpected-key-before-value",
+        ),
+        pytest.param(
+            LEMMA_POWER.replace("c1 = 1.0", "c1 = abc").replace("D = 4.0\n", ""), ["constants"],
+            "error: missing required key D in section [lemma]",
+            id="missing-key-before-value",
+        ),
+        pytest.param(
+            "[lemma]\nD = abc\nC = 0.5\nB = 0.75\nA = 2.0\nc1 = xyz\n", ["constants"],
+            "error: key c1 in section [lemma] is not a number: 'xyz'",
+            id="keys-in-schema-order",
+        ),
+        pytest.param(
+            "[solver]\nmax_iters = 1.5\n[grid]\ncells = 1e3\n"
+            + PROBLEM_SOBOLEV.replace("alpha = 0.25", "alpha = abc"),
+            ["minimize"],
+            "error: key alpha in section [problem] is not a number: 'abc'",
+            id="sections-in-schema-order",
+        ),
+        pytest.param(
+            LEMMA_POWER + "psi_at_k0 = abc\n", ["verify", "--psi", "{dir}/missing.csv"],
+            "error: key psi_at_k0 in section [lemma] is not a number: 'abc'",
+            id="verify-psi_at_k0-before-table",
+        ),
+    ],
+)
+def test_first_config_error_is_a_name_then_a_value_in_schema_order(
+    tmp_path, capsys, config, argv, message
+):
+    cfg = write(tmp_path / "c.ini", config)
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 # ---------------------------------------------------------------- regime branches
 PARITY_LADDER = (32, 64)
 

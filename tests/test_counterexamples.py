@@ -33,6 +33,7 @@ from leveldecay.lemma import (
     WrongCaseError,
     check_hypothesis,
     classify,
+    giusti_recursion,
     power_decay_constants,
 )
 
@@ -109,6 +110,15 @@ def test_exp_power_past_float_range_reads_zero_and_minus_inf():
     assert psi_exp_power(8.0, 1e10) == math.exp(-(8.0 ** psi.parameters["p"]))
     with pytest.raises(ValueError):
         psi.log_evaluator(0.5)
+
+
+def test_frozen_results_hold_no_mutable_container():
+    res = giusti_recursion(1.0, 2.0, 2.0, 0.5, 3)
+    with pytest.raises(AttributeError):
+        res.xs.append(1.0)
+    for psi in (exp_power_psi(2.0), log_square_psi()):
+        with pytest.raises(TypeError):
+            psi.parameters["p"] = 0
 
 
 def test_vanishing_violation_none_when_log_at_2l_is_below_float_range():

@@ -1172,7 +1172,7 @@ def test_giusti_exact_dyadic_example():
     # [DERIVED]: x0 = 1/2 is exactly the premise boundary for (1, 2, 2);
     # iterates 1/2, 1/4, 1/8, 1/16 meet the bound with equality.
     res = giusti_recursion(c_bar=1.0, m=2.0, beta=2.0, x0=0.5, steps=3)
-    assert res.xs == [0.5, 0.25, 0.125, 0.0625]
+    assert res.xs == (0.5, 0.25, 0.125, 0.0625)
     assert res.premise_holds
     assert res.bound_holds
     assert res.first_violation is None
@@ -1180,7 +1180,7 @@ def test_giusti_exact_dyadic_example():
 
 def test_giusti_zero_start():
     res = giusti_recursion(1.0, 2.0, 2.0, 0.0, 5)
-    assert res.xs == [0.0] * 6
+    assert res.xs == (0.0,) * 6
     assert res.premise_holds
     assert res.bound_holds
 

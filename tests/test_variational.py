@@ -473,7 +473,7 @@ def _evaluate_before(u, h, meas, fbar, beta1, b, ap, p, eps):
     du = (u[1:] - u[:-1]) / h
     absu = np.abs(ubar)
     a = beta1 / (b + absu) ** ap
-    da = -ap * beta1 * np.sign(ubar) / (b + absu) ** (ap + 1)
+    da = -ap * beta1 * np.sign(ubar) / np.maximum((b + absu) ** (ap + 1), 5e-324)
     dda = ap * (ap + 1) * beta1 / (b + absu) ** (ap + 2)
     q = eps * eps + du * du
     q_power = q ** (p / 2 - 1)
@@ -778,6 +778,15 @@ def test_energy_gradient_builds_no_hessian_term(b_const):
         g = energy_gradient(DiscreteField(np.zeros(17)), grid, spec)
     assert np.isfinite(g).all()
     assert np.allclose(g[:2], [-0.04966047, -0.16295297], rtol=1e-6, atol=0.0)
+
+
+def test_gradient_at_zero_survives_an_underflowing_power():
+    # (1e-300)^(alpha p + 1) underflows to 0; a'(0) J is still -0.0 * 0, not 0/0
+    grid = RadialGrid(n=4, radius=1.0, cells=16)
+    zero = DiscreteField(np.zeros(17))
+    tiny = energy_gradient(zero, grid, make_spec(grid, b_const=1e-300))
+    unit = energy_gradient(zero, grid, make_spec(grid, b_const=1.0))
+    assert tiny.tobytes() == unit.tobytes()
 
 
 def _minimize_before(grid, spec, initial, tolerances):
