@@ -154,8 +154,8 @@ def classify(hyp: DecayHypothesis, tol: float = CLASSIFY_TOL) -> CaseClass:
     ``(D-A)/(1-B) == D/(1-C)`` within ``tol``.  Everything else is
     ``Unclassified``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # NaN fails
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     B, C = hyp.B, hyp.C
     if abs(B - 1.0) <= tol and abs(C - 1.0) <= tol:
         return CaseClass(CaseTag.EXPONENTIAL_DECAY)

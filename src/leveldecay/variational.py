@@ -26,7 +26,6 @@ dispatch, for the experiment and for stored profiles alike.
 """
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import numbers
@@ -282,7 +281,8 @@ def _hessian(cells, more, h, meas, fbar, beta1, b, ap, p, eps) -> tuple:
     # J'' = p q^(p/2-1) (1 + (p-2) t^2/q), finite at q = 0 for p >= 2
     slope_share = np.divide(du2, q, out=np.zeros(q.shape), where=q > 0.0)
     jpp = p * q_power * (1.0 + (p - 2.0) * slope_share)
-    w1 = 0.25 * meas * dda * je
+    # a''J is 0 on a flat cell (J = 0) whatever dda reads, inf too where (b + |u|)^(alpha p + 2) underflows
+    w1 = np.multiply(0.25 * meas * dda, je, out=np.zeros(je.shape), where=je != 0.0)
     w2 = meas_a * jpp / (h * h)
     w12 = w1 + w2
     w3 = meas * da * jp / h
@@ -348,29 +348,37 @@ def _coefficients(spec: FunctionalSpec) -> Tuple[float, float, float, float, flo
     return params.beta1, params.b_const, params.alpha * params.p, params.p, spec.epsilon
 
 
+#: The numpy error state of every tier call; a and the energy read inf where (b + |u|)^(alpha p) underflows.
+_TIER_ERRORS = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
+def _smooth_tier_args(u: np.ndarray, grid: RadialGrid, spec: FunctionalSpec) -> tuple:
+    """The tier arguments after u; epsilon = 0 with p < 2 (a nonsmooth density) is rejected."""
+    _check_compatible(u, grid, spec)
+    beta1, b, ap, p, eps = _coefficients(spec)
+    if eps == 0.0 and p < 2.0:
+        raise ValueError("epsilon must be positive when p < 2 (nonsmooth density)")
+    return grid.spacing, grid.cell_measures, spec.source, beta1, b, ap, p, eps
+
+
 def assemble_energy(field: DiscreteField, grid: RadialGrid, spec: FunctionalSpec) -> float:
     """Discrete energy of the field, from the energy tier alone; exact for piecewise-linear test fields."""
     u = field.nodal_values
     _check_compatible(u, grid, spec)
-    # b_const near 0 can underflow (b + |u|)^(alpha p) to 0, so a and the energy read inf
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(**_TIER_ERRORS):
         return _energy(u, grid.spacing, grid.cell_measures, spec.source, *_coefficients(spec))[0]
 
 
 def energy_gradient(field: DiscreteField, grid: RadialGrid, spec: FunctionalSpec) -> np.ndarray:
     """Euclidean gradient of the energy over the free (non-boundary) nodes.
 
-    The energy and gradient tiers run, and no Hessian is built.  With
-    epsilon = 0 and p < 2 the p-energy density is not differentiable
-    at vanishing slope, so that combination is rejected.
+    The energy and gradient tiers run, and no Hessian is built.  Entries read
+    inf where (b + |u|)^(alpha p) underflows.  Rejects epsilon = 0 with p < 2,
+    where the p-energy density is not differentiable at vanishing slope.
     """
     u = field.nodal_values
-    _check_compatible(u, grid, spec)
-    beta1, b, ap, p, eps = _coefficients(spec)
-    if eps == 0.0 and p < 2.0:
-        raise ValueError("epsilon must be positive when p < 2 (nonsmooth density)")
-    args = (grid.spacing, grid.cell_measures, spec.source, beta1, b, ap, p, eps)
-    with np.errstate(over="ignore", invalid="ignore"):
+    args = _smooth_tier_args(u, grid, spec)
+    with np.errstate(**_TIER_ERRORS):
         return _gradient(_energy(u, *args)[1], *args)[0]
 
 
@@ -482,24 +490,17 @@ def minimize(
     :class:`NonFiniteEnergyError`.
     """
     u = initial.nodal_values.copy()
-    _check_compatible(u, grid, spec)
-    beta1, b, ap, p, eps = _coefficients(spec)
-    if eps == 0.0 and p < 2.0:
-        raise ValueError("epsilon must be positive when p < 2 (nonsmooth density)")
-    meas = grid.cell_measures
-    args = (grid.spacing, meas, spec.source, beta1, b, ap, p, eps)
+    args = _smooth_tier_args(u, grid, spec)
 
     # nodal measures: Riesz weights of the discrete L^2(mu) inner product
-    metric = 0.5 * meas
-    metric[1:] += 0.5 * meas[:-1]
+    metric = 0.5 * grid.cell_measures
+    metric[1:] += 0.5 * grid.cell_measures[:-1]
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        # b_const near 0 can underflow (b + |u|)^(alpha p) to 0, so a and the energy read inf
-        with np.errstate(divide="ignore"):
-            energy, cells = _energy(u, *args)
-            if not math.isfinite(energy):
-                raise NonFiniteEnergyError(f"initial energy is {energy}")
-            g, more = _gradient(cells, *args)
+    with np.errstate(**_TIER_ERRORS):
+        energy, cells = _energy(u, *args)
+        if not math.isfinite(energy):
+            raise NonFiniteEnergyError(f"initial energy is {energy}")
+        g, more = _gradient(cells, *args)
         trace = [energy]
         iterations = backtracks = 0
         while True:
@@ -510,9 +511,7 @@ def minimize(
             if iterations >= tolerances.max_iters:
                 status = "max_iters"
                 break
-            # like the start's energy and gradient, its first Hessian may read inf unwarned
-            with np.errstate(divide="ignore") if iterations == 0 else contextlib.nullcontext():
-                diag, off = _hessian(cells, more, *args)
+            diag, off = _hessian(cells, more, *args)
             direction = _newton_direction(diag, off, metric, g)
             if direction is None:
                 raise NonFiniteEnergyError(

@@ -374,3 +374,29 @@ def test_equivalence_round_trip():
         c1 = equivalence_constant(c2, D, env.c_bar, B)
         full = check_hypothesis(table, DecayHypothesis(c1, A, B, C, D, 1.0), AllKnotPairs())
         assert full.max_ratio <= 1.0 + 1e-9, full.max_ratio
+
+
+def _tau_override_search(tau):
+    return find_envelope_violation(log_square_psi(), _canonical_log_square_hyp(), 1.0, 1e16, tau_override=tau)
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (k0_for_exp_power, (0.0, 2.0), r"^d_exp must be positive, got 0\.0$"),
+        (k0_for_exp_power, (-1.0, 2.0), r"^d_exp must be positive, got -1\.0$"),
+        (k0_for_exp_power, (math.nan, 2.0), r"^d_exp must be positive, got nan$"),
+        # the bracket doubles from about 1e194 until k**p overflows
+        (k0_for_exp_power, (1.7e308, 1.5), r"^the root of g for d_exp=1\.7e\+308, c_exp=1\.5 leaves the float range$"),
+        (_tau_override_search, (0.0,), r"^tau_override must be positive, got 0\.0$"),
+        (_tau_override_search, (-1.0,), r"^tau_override must be positive, got -1\.0$"),
+        (_tau_override_search, (math.nan,), r"^tau_override must be positive, got nan$"),
+        (equivalence_constant, (0.0, 2.0, 1.0, 0.5), "^all arguments must be positive$"),
+        (equivalence_constant, (1.0, -2.0, 1.0, 0.5), "^all arguments must be positive$"),
+        (equivalence_constant, (1.0, 2.0, math.nan, 0.5), "^all arguments must be positive$"),
+        (equivalence_constant, (1.0, 2.0, 1.0, 0.0), "^all arguments must be positive$"),
+    ],
+)
+def test_counterexample_domain_errors(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        call(*args)

@@ -73,6 +73,20 @@ def test_problem_params_validation():
         ProblemParams(n=4, p=2.0, alpha=0.25, r=2.0, b_const=-1.0)
 
 
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        *[(name, value, f"^{name} must be finite, got {value}$")
+          for name in ("p", "alpha", "r", "beta1", "b_const") for value in (math.nan, math.inf)],
+        ("alpha", -math.inf, "^alpha must be finite, got -inf$"),
+        ("alpha", -0.25, "^alpha must be >= 0, got -0.25$"),
+    ],
+)
+def test_problem_params_domain_errors(name, value, message):
+    with pytest.raises(ValueError, match=message):
+        ProblemParams(**{"n": 4, "p": 2.0, "alpha": 0.25, "r": 1.75, name: value})
+
+
 def test_problem_params_allows_linear_regime():
     # alpha = 0 and p = n are accepted by the type so the linear-regime
     # solver oracle can be expressed; the exponent calculus itself rejects them.

@@ -82,6 +82,15 @@ def test_classify_unclassified_mixed():
     assert case.tag is CaseTag.UNCLASSIFIED
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_classify_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    # a NaN tol read an ExponentialDecay hypothesis as Unclassified, an infinite
+    # one an unbalanced hypothesis as ExponentialDecay
+    for B, C in ((1.0, 1.0), (0.5, 0.25)):
+        with pytest.raises(ValueError, match="^tol must be finite and positive, got "):
+            classify(DecayHypothesis(1.0, A=0.5, B=B, C=C, D=2.0), tol=tol)
+
+
 # ---------------------------------------------------------------- case i constants
 def test_power_decay_constants_frozen_k0_zero():
     # [DERIVED]: lambda = 8; rho(k0) = 0; M = 1 * 2^{(8+2+1)/(1/4)} = 2^44;
@@ -1214,6 +1223,31 @@ def test_giusti_domain_errors():
         giusti_recursion(0.0, 2.0, 2.0, 0.5, 3)
     with pytest.raises(ValueError):
         giusti_recursion(1.0, 2.0, 2.0, -0.5, 3)
+
+
+def test_giusti_iterate_past_the_float_range_reads_inf():
+    # x1 = (1e200)^2 overflows; x2 = 2 inf^2 stays inf
+    res = giusti_recursion(1.0, 2.0, 2.0, 1e200, 2)
+    assert res.xs == (1e200, math.inf, math.inf)
+    assert (res.premise_holds, res.bound_holds, res.first_violation) == (False, False, 1)
+
+
+_EXP_HYP = DecayHypothesis(1.0, 1.0, 1.0, 1.0, 2.0, k0=0.0)
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (PsiTable, ([1.0, math.inf], [1.0, 0.5], 1.0), "^knots must be finite$"),
+        (PsiTable, ([1.0, math.nan], [1.0, 0.5], 1.0), "^knots must be finite$"),
+        (PsiTable, ([1.0, 2.0], [math.nan, 0.5], 1.0), "^values must be finite$"),
+        (giusti_recursion, (1.0, 2.0, 2.0, 0.5, -1), "^steps must be nonnegative, got -1$"),
+        (level_sequence, (_EXP_HYP, exp_decay_tau(_EXP_HYP), -1), "^count must be nonnegative, got -1$"),
+    ],
+)
+def test_lemma_domain_errors(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        call(*args)
 
 
 # ---------------------------------------------------------------- level sequences

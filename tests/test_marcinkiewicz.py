@@ -779,6 +779,53 @@ def test_integral_bound_gathers_two_cell_sized_arrays():
     assert peak < 20 * cells
 
 
+# ---------------------------------------------------------------- domains and edges
+_PROFILE = DistributionProfile([1.0, 2.0, 4.0], [3.0, 2.0, 1.0], 3.0)
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        *[(weak_norm_estimate, (_PROFILE, r), "^r must be positive and finite$") for r in (0.0, -1.0, math.nan, math.inf)],
+        (tail_exponent_fit, (_PROFILE, 0.0, 2.0), r"^need 0 < k_min < k_max$"),
+        (tail_exponent_fit, (_PROFILE, 2.0, 2.0), r"^need 0 < k_min < k_max$"),
+        (tail_exponent_fit, (_PROFILE, math.nan, 2.0), r"^need 0 < k_min < k_max$"),
+        *[(exp_integrability_fit, (_PROFILE, theta, 1.0), r"^theta must lie in \(0, 1\]$") for theta in (0.0, 1.5, math.nan)],
+        *[(exp_integrability_fit, (_PROFILE, 0.5, k_min), "^k_min must be finite and nonnegative$") for k_min in (-1.0, math.inf, math.nan)],
+        *[(summability_test, (_PROFILE, r, 10), "^r must be positive and finite$") for r in (0.0, math.nan, math.inf)],
+        (summability_test, (_PROFILE, 2.0, 9), "^k_top must be at least 10$"),
+        (integral_bound_check, ([1.0, 2.0], [0.5], [True, True], 2.0, 1.0), "^values, weights and mask must share one shape$"),
+        (integral_bound_check, ([[1.0]], [[0.5]], [[True]], 2.0, 1.0), "^values, weights and mask must share one shape$"),
+        *[(integral_bound_check, ([1.0], [0.5], [True], r, 1.0), "^r must exceed 1$") for r in (1.0, math.nan, math.inf)],
+        *[(integral_bound_check, ([1.0], [0.5], [True], 2.0, c), "^norm_const must be finite and nonnegative$")
+          for c in (-1.0, math.nan, math.inf)],
+    ],
+)
+def test_marcinkiewicz_domain_errors(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        call(*args)
+
+
+def test_marcinkiewicz_edge_values():
+    # a profile without levels has a weak norm of 0, attained nowhere
+    est = weak_norm_estimate(DistributionProfile([], [], 3.0), 2.0)
+    assert (est.norm_estimate, est.attained_at) == (0.0, None)
+    # abscissae near 1e-300 scale the slope 1e10 * 2^995 past the float range
+    x = np.array([1e-300, 2e-300, 3e-300])
+    for sign in (1.0, -1.0):
+        fit = marcinkiewicz._ols_line(x, sign * np.array([0.0, 1e10, 2e10]))
+        assert fit.slope == sign * math.inf and fit.r_squared == 1.0
+    # rhs 0 with lhs > 0 gives the ratio inf
+    chk = integral_bound_check([1.0, 2.0], [0.5, 0.5], [True, False], 2.0, 0.0)
+    assert (chk.lhs, chk.rhs, chk.ratio, chk.passed) == (0.5, 0.0, math.inf, False)
+    # |{f > t}| is the whole ball for t <= 0, and empty for every t > 0 at scale 0
+    nodes = np.linspace(0.0, 1.0, 11)
+    for scale in (1.0, 0.0):
+        src = power_source(nodes, n=2, r=2.0, scale=scale)
+        assert src.analytic_distribution(0.0) == src.analytic_distribution(-1.0) == src.total_measure
+    assert src.analytic_distribution(1e-300) == 0.0
+
+
 # ---------------------------------------------------------------- power source
 def test_power_source_cell_average_against_quadrature():
     n, r, scale = 4, 1.75, 1.3

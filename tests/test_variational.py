@@ -320,6 +320,29 @@ def test_functional_spec_rejects_an_epsilon_whose_power_overflows(p, epsilon):
     make_spec(grid, p=p, alpha=0.1, epsilon=1e100)  # epsilon ** p is a float
 
 
+def _spec_with(**change):
+    grid = RadialGrid(n=4, radius=1.0, cells=8)
+    spec = make_spec(grid)
+    fields = {"params": spec.params, "source": spec.source, "epsilon": spec.epsilon, **change}
+    return FunctionalSpec(**fields)
+
+
+@pytest.mark.parametrize(
+    "call, change, message",
+    [
+        (_spec_with, {"source": np.ones((2, 4))}, "^source must be one-dimensional$"),
+        *[(_spec_with, {"source": np.array([1.0, value])}, "^source must be finite$") for value in (math.nan, math.inf)],
+        *[(_spec_with, {"epsilon": value}, "^epsilon must be finite and nonnegative$") for value in (-1e-6, math.nan, math.inf)],
+        *[(SolverTolerances, {"grad_tol": value}, "^grad_tol must be finite and nonnegative$")
+          for value in (-1.0, math.nan, math.inf)],
+        (SolverTolerances, {"max_iters": -1}, "^max_iters must be nonnegative$"),
+    ],
+)
+def test_spec_and_tolerance_domain_errors(call, change, message):
+    with pytest.raises(ValueError, match=message):
+        call(**change)
+
+
 def _tiers(u, *args):
     """Energy, gradient and Hessian of one field through the three tiers: (energy, g, diag, off)."""
     energy, cells = _energy(u, *args)
@@ -468,7 +491,11 @@ def test_newton_direction_shifts_indefinite_hessian():
 
 
 def _evaluate_before(u, h, meas, fbar, beta1, b, ap, p, eps):
-    """``_evaluate`` before b + |ubar|, du^2, meas a and w1 + w2 were each taken once."""
+    """``_evaluate`` before b + |ubar|, du^2, meas a and w1 + w2 were each taken once.
+
+    The a''J term w1 is 0 on a flat cell (J = 0), as the kernel takes it,
+    even where dda reads inf.
+    """
     ubar = 0.5 * (u[:-1] + u[1:])
     du = (u[1:] - u[:-1]) / h
     absu = np.abs(ubar)
@@ -487,7 +514,7 @@ def _evaluate_before(u, h, meas, fbar, beta1, b, ap, p, eps):
     g[1:] += half[:-1] + flux[:-1]
     slope_share = np.divide(du * du, q, out=np.zeros_like(q), where=q > 0.0)
     jpp = p * q_power * (1.0 + (p - 2.0) * slope_share)
-    w1 = 0.25 * meas * dda * je
+    w1 = np.where(je != 0.0, 0.25 * meas * dda * je, 0.0)
     w2 = meas * a * jpp / (h * h)
     w3 = meas * da * jp / h
     diag = w1 + w2 - w3
@@ -756,16 +783,50 @@ def test_trichotomy_solves_reject_no_trial(trichotomy_runs):
         assert [run.backtracks for run in report.reports] == [0] * len(report.reports)
 
 
-@pytest.mark.parametrize("b_const", [1e-300, 1e-200, 1e-160])
-def test_minimize_builds_the_first_hessian_under_the_start_error_state(b_const):
-    # (b + |u|)^(alpha p + 2) underflows to 0 in the Hessian of the zero start;
-    # it reads inf there, as the start's energy and gradient may, without a warning
+def test_line_search_rejects_every_step_down_to_the_floor(monkeypatch):
+    # the energy is 0 at u = 0, so no trial along the ascent direction +g rounds to a
+    # decrease: steps 1 down to 2^-46 are all rejected, and 2^-47 lies below the floor
     grid = RadialGrid(n=4, radius=1.0, cells=16)
-    spec = make_spec(grid, b_const=b_const)
+    spec = make_spec(grid)
+    u = np.zeros(17)
+    args = (grid.spacing, grid.cell_measures, spec.source, *_coefficients(spec))
+    energy, cells = _energy(u, *args)
+    g = _gradient(cells, *args)[0]
+    assert variational._line_search(u, g, energy, -float(g @ g), args) == (47, None)
+    # a descent direction 1e30 times too long raises the energy at every step above
+    # the floor too; minimize then stops there
+    monkeypatch.setattr(variational, "_newton_direction", lambda diag, off, metric, g: -1e30 * g)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NonFiniteEnergyError, match="16 of 16 diagonal and 15 of 15 off-diagonal"):
-            minimize(grid, spec, DiscreteField(np.zeros(17)), SolverTolerances())
+        rep = minimize(grid, spec, DiscreteField(u), SolverTolerances())
+    assert (rep.status, rep.iterations, rep.backtracks, rep.energy_trace) == ("stagnated", 0, 47, (0.0,))
+    assert not rep.final_field.nodal_values.any()
+
+
+@pytest.mark.parametrize("b_const", [1e-300, 1e-200, 1e-160, 1e-150])
+def test_minimize_builds_the_first_hessian_under_the_start_error_state(b_const):
+    # (b + |u|)^(alpha p + 2) underflows to 0 in the Hessian of the zero start, where
+    # a''J is 0 on every flat cell; the solve from there runs without a warning and,
+    # at a tolerance tighter than the default, lands on the b_const = 1e-100 solution
+    grid = RadialGrid(n=4, radius=1.0, cells=16)
+    tolerances = SolverTolerances(grad_tol=1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = minimize(grid, make_spec(grid, b_const=b_const), DiscreteField(np.zeros(17)), tolerances)
+        ref = minimize(grid, make_spec(grid, b_const=1e-100), DiscreteField(np.zeros(17)), tolerances)
+    assert rep.status == ref.status == "converged"
+    assert np.abs(rep.final_field.nodal_values - ref.final_field.nodal_values).max() <= 1e-8
+
+
+def test_minimize_refuses_a_start_whose_first_cell_changes_sign():
+    # ubar = 0 on a cell with J > 0: a''J is inf there at b_const = 1e-300
+    grid = RadialGrid(n=4, radius=1.0, cells=16)
+    u = np.zeros(17)
+    u[:2] = [0.5, -0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteEnergyError, match="2 of 16 diagonal and 1 of 15 off-diagonal"):
+            minimize(grid, make_spec(grid, b_const=1e-300), DiscreteField(u), SolverTolerances())
 
 
 @pytest.mark.parametrize("b_const", [1e-150, 1e-200])
@@ -1269,6 +1330,11 @@ def test_tail_fit_of_ignores_level_zero():
     ks = np.geomspace(1.0, 10.0, 20)
     fit = tail_fit_of(DistributionProfile(np.append(0.0, ks), np.append(1.0, ks**-3.0), 1.0))
     assert fit.slope == pytest.approx(-3.0, rel=1e-12)
+
+
+def test_exp_fit_of_a_profile_without_enough_levels_is_none():
+    assert variational.exp_fit_of(DistributionProfile([], [], 1.0), 0.5) is None
+    assert variational.exp_fit_of(DistributionProfile([1.0, 2.0], [1.0, 0.5], 1.0), 0.5) is None
 
 
 def _geomspace_levels(regime, peak):
