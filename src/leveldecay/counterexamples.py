@@ -21,10 +21,11 @@ precision, so only the logarithms can carry the comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
+from ._records import Record
 from .lemma import (
     CaseTag,
     DecayHypothesis,
@@ -100,8 +101,7 @@ def psi_exp_power(k: float, c_exp: float) -> float:
     return math.exp(_log_psi_exp_power(k, _exp_power_p(c_exp)))
 
 
-@dataclass(frozen=True)
-class NamedPsi:
+class NamedPsi(Record):
     """A closed-form nonincreasing function with a log-space evaluator."""
 
     name: str
@@ -180,8 +180,7 @@ def k0_for_exp_power(d_exp: float, c_exp: float) -> float:
     return hi
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """A level at which psi exceeds the claimed envelope.
 
     ``psi_value`` and ``envelope_value`` are plain float evaluations and

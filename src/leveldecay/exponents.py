@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from math import isfinite
+
+from ._records import Record
 
 __all__ = [
     "ExponentAssignment",
@@ -44,8 +45,7 @@ def holder_conjugate(t: float) -> float:
     return t / (t - 1.0)
 
 
-@dataclass(frozen=True)
-class ProblemParams:
+class ProblemParams(Record):
     """Data of the model problem.
 
     ``n`` ambient dimension, ``p`` growth exponent, ``alpha`` degeneracy
@@ -97,8 +97,7 @@ class Regime(enum.Enum):
     BOUNDED = "Bounded"
 
 
-@dataclass(frozen=True)
-class ExponentAssignment:
+class ExponentAssignment(Record):
     """The (A, B, C, D) exponents of the level-set decay inequality.
 
     Deliberately unvalidated: below the admissible r-range B may even be
@@ -111,8 +110,7 @@ class ExponentAssignment:
     D: float
 
 
-@dataclass(frozen=True)
-class ExponentSet:
+class ExponentSet(Record):
     """All derived exponents for one parameter set.
 
     ``theta`` = (p(1-alpha)-1)/(p-1) is the exponent of the

@@ -43,10 +43,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+
+from ._records import Record
 
 __all__ = [
     "CLASSIFY_TOL",
@@ -107,8 +108,7 @@ class CaseTag(enum.Enum):
     UNCLASSIFIED = "Unclassified"
 
 
-@dataclass(frozen=True)
-class CaseClass:
+class CaseClass(Record):
     """Classification result: the case tag plus the balance residual.
 
     ``detail`` is the residual (D-A)/(1-B) - D/(1-C) whenever
@@ -119,8 +119,7 @@ class CaseClass:
     detail: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class DecayHypothesis:
+class DecayHypothesis(Record):
     """Constants (c1, A, B, C, D, k0) of the level-set inequality."""
 
     c1: float
@@ -169,8 +168,7 @@ def classify(hyp: DecayHypothesis, tol: float = CLASSIFY_TOL) -> CaseClass:
     return CaseClass(CaseTag.UNCLASSIFIED)
 
 
-@dataclass(frozen=True)
-class EnvelopeConstants:
+class EnvelopeConstants(Record):
     """Explicit envelope constants; fields outside the case are None."""
 
     case: CaseClass
@@ -378,8 +376,7 @@ def envelope(hyp: DecayHypothesis, psi_at_k0: float, k: float) -> float:
 # --------------------------------------------------------------------------
 # tabulated psi
 # --------------------------------------------------------------------------
-@dataclass(frozen=True, eq=False)
-class PsiTable:
+class PsiTable(Record, eq=False):
     """A nonincreasing nonnegative step function tabulated at knots.
 
     ``knots`` and ``values`` are read-only float64 arrays, copied from the
@@ -562,8 +559,7 @@ def _pair_scan(
         return _scan(_pair_logs(h, k, h_terms, k_terms, D))
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Result of verifying the level-set inequality on sampled pairs.
 
     ``max_ratio`` is the maximum of lhs/rhs over pairs (<= 1 means the
@@ -805,8 +801,7 @@ def check_hypothesis(
     )
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
+class EnvelopeReport(Record):
     """Result of comparing a table against the claimed envelope.
 
     ``max_ratio`` is the maximum of psi(knot)/envelope(knot); 0/0 counts
@@ -846,8 +841,7 @@ def check_envelope(
 # --------------------------------------------------------------------------
 # geometric recursion
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
-class GiustiResult:
+class GiustiResult(Record):
     """Iterates of x_{i+1} = c_bar m^i x_i^beta and the decay bound.
 
     ``xs`` is the tuple x_0, ..., x_steps.  ``premise_holds`` records

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+
+from ._records import Record
 
 __all__ = [
     "MIN_FIT_POINTS",
@@ -156,8 +157,7 @@ def _weighted_powers(levels: np.ndarray, power: float, measures: np.ndarray) -> 
 # --------------------------------------------------------------------------
 # distribution profiles
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
-class DistributionProfile:
+class DistributionProfile(Record, eq=False):
     """Distribution function mu(k) = |{ |f| >= k }| sampled at ``levels``.
 
     ``measures[i]`` is the measure of the superlevel set at ``levels[i]``
@@ -281,8 +281,7 @@ def distribution_function(values, weights, levels) -> DistributionProfile:
 # --------------------------------------------------------------------------
 # weak norm
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
-class WeakNormEstimate:
+class WeakNormEstimate(Record):
     """Estimate of the M^r quasi-norm^r, sup_k k^r mu(k), over a level grid."""
 
     r: float
@@ -314,8 +313,7 @@ def weak_norm_estimate(prof: DistributionProfile, r: float) -> WeakNormEstimate:
 # --------------------------------------------------------------------------
 # tail fits
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Ordinary least squares line fit y = slope * x + intercept of ``n_points`` points.
 
     ``r_squared`` is 1 - ss_res / ss_tot, and 1 when every y is the same
@@ -420,8 +418,7 @@ def exp_integrability_fit(prof: DistributionProfile, theta: float, k_min: float)
 # --------------------------------------------------------------------------
 # summability
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
-class SummabilityResult:
+class SummabilityResult(Record, eq=False):
     """Partial sums of sum_{k=1}^{K} k^{r-1} mu(k) and a convergence verdict."""
 
     r: float
@@ -461,8 +458,7 @@ def summability_test(prof: DistributionProfile, r: float, k_top: int) -> Summabi
 # --------------------------------------------------------------------------
 # weak-type integral bound
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
-class IntegralBoundCheck:
+class IntegralBoundCheck(Record):
     """Outcome of the weak-type bound int_E |f| <= norm_const |E|^{1-1/r}."""
 
     lhs: float
@@ -509,8 +505,7 @@ def integral_bound_check(values, weights, mask, r: float, norm_const: float) -> 
 # --------------------------------------------------------------------------
 # radial power source
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
-class PowerSource:
+class PowerSource(Record, eq=False):
     """Radial field f(x) = scale * |x|^{-n/r} discretized by exact cell averages.
 
     ``cell_values[i]`` is the average of f over the spherical shell between

@@ -30,11 +30,11 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._records import Record
 from .exponents import ExponentSet, ProblemParams, Regime, compute_exponents
 from .lemma import _pair_scan
 from .marcinkiewicz import (
@@ -194,8 +194,7 @@ class DiscreteField:
         self._level_index: Optional[Tuple[np.ndarray, _LevelIndex]] = None
 
 
-@dataclass(frozen=True)
-class FunctionalSpec:
+class FunctionalSpec(Record, eq=False):
     """Problem parameters, cell-averaged source and gradient regularization.
 
     ``epsilon`` must be finite and nonnegative, with ``epsilon ** p`` a float.
@@ -385,8 +384,7 @@ def energy_gradient(field: DiscreteField, grid: RadialGrid, spec: FunctionalSpec
 # --------------------------------------------------------------------------
 # minimization
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
-class SolverTolerances:
+class SolverTolerances(Record):
     """Stopping parameters of the Newton solve: gradient norm and iteration cap.
 
     ``grad_tol`` bounds the L^2(mu)-dual norm sqrt(g . g / metric) of the
@@ -405,8 +403,7 @@ class SolverTolerances:
             raise ValueError("max_iters must be nonnegative")
 
 
-@dataclass(frozen=True)
-class MinimizeReport:
+class MinimizeReport(Record):
     """Result of one Newton solve.
 
     ``status`` is "converged" (gradient norm reached grad_tol),
@@ -601,8 +598,7 @@ def level_profile(field: DiscreteField, grid: RadialGrid, levels) -> Distributio
     return _level_index(field, grid).profile(levels)
 
 
-@dataclass(frozen=True)
-class LevelsetReport:
+class LevelsetReport(Record):
     """Residuals of the level-set inequality |A_h| <= (h^A |A_k|^B + |A_k|^C)/(h-k)^D.
 
     ``residuals`` is a tuple of (h, k, ratio) for every pair with
@@ -682,8 +678,7 @@ def levelset_inequality_check(
 # --------------------------------------------------------------------------
 # regularity experiment
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
-class GridRun:
+class GridRun(Record):
     """One grid of an experiment ladder.
 
     ``report`` is the solve of ``spec`` on ``grid``; ``profile`` and
@@ -703,8 +698,7 @@ def _per_grid(path: str) -> property:
     return property(lambda self: [read(run) for run in self.runs])
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(Record):
     """Summary of a warm-started grid ladder of minimizations.
 
     ``runs`` holds one :class:`GridRun` per grid, coarsest first, and
@@ -738,8 +732,7 @@ class ExperimentReport:
     statuses = _per_grid("report.status")
 
 
-@dataclass(frozen=True)
-class ProfileSummary:
+class ProfileSummary(Record):
     """The regime's reading of one level profile.
 
     ``fit`` names the reading: "tail" (the two power-tail regimes:
