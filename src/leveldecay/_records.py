@@ -4,10 +4,34 @@ A subclass is a dataclass whose one compiled method is ``__init__``; the
 frozen ``__setattr__``/``__delattr__``, ``__repr__``, ``__eq__`` and ``__hash__``
 are shared and act as ``dataclass(frozen=True)``'s.  Fields take a default or a
 ``default_factory``, no other ``field`` option.  ``class X(Record, eq=False)``
-compares and hashes by identity, for records that hold arrays.
+compares and hashes by identity, for records that hold arrays, stored by :func:`_frozen`.
 """
 import dataclasses
 import operator
+
+import numpy as np
+
+#: Relative slack of the package's "nonincreasing" checks, absorbing rounding.
+_MONOTONE_SLACK = 1e-12
+
+
+def _keepable(values) -> bool:
+    """Whether ``values`` is a read-only float64 array that no writeable array shares memory
+    with: it owns its data, or its base, the owner of that memory, is read-only and must stay so."""
+    if type(values) is np.ndarray and values.dtype == np.float64 and not values.flags.writeable:
+        base = values.base
+        return base is None or (type(base) is np.ndarray and not base.flags.writeable)
+    return False
+
+
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only float64 array: kept if :func:`_keepable`, else
+    copied once and frozen."""
+    if _keepable(values):
+        return values
+    array = np.array(values, dtype=float)
+    array.setflags(write=False)
+    return array
 
 
 class _Factory:
@@ -64,6 +88,9 @@ class Record:
 
     def __hash__(self) -> int:
         return hash(self._record_values(self))
+
+    def __reduce__(self):  # pickle and copy through __init__: a copy is checked, frozen, uncached
+        return type(self), tuple(getattr(self, name) for name in self._record_names)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -46,12 +46,11 @@ import functools
 import math
 import os
 import sys
-from typing import (
-    Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, TextIO, Tuple,
-)
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
+from ._records import Record
 from .counterexamples import (
     LOG_SQUARE_C2,
     exp_power_psi,
@@ -520,7 +519,7 @@ def _cmd_sweep(config: _Config, args: argparse.Namespace) -> int:
 # entry point
 
 
-class _Command(NamedTuple):
+class _Command(Record):
     """One subcommand: its handler, help text, config schema and own option."""
 
     handler: Callable[[_Config, argparse.Namespace], int]

@@ -20,6 +20,7 @@ precision, so only the logarithms can carry the comparison.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import field
 from types import MappingProxyType
@@ -101,14 +102,20 @@ def psi_exp_power(k: float, c_exp: float) -> float:
     return math.exp(_log_psi_exp_power(k, _exp_power_p(c_exp)))
 
 
-class NamedPsi(Record):
-    """A closed-form nonincreasing function with a log-space evaluator."""
+class NamedPsi(Record, eq=False):
+    """A closed-form nonincreasing function with a log-space evaluator and read-only ``parameters``."""
 
     name: str
     k0: float
     evaluator: Callable[[float], float]
     log_evaluator: Callable[[float], float]
-    parameters: Mapping[str, float] = field(default_factory=lambda: MappingProxyType({}))
+    parameters: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "parameters", MappingProxyType(dict(self.parameters)))
+
+    def __reduce__(self):  # parameters as a dict: a mappingproxy does not pickle
+        return type(self), (self.name, self.k0, self.evaluator, self.log_evaluator, dict(self.parameters))
 
 
 def log_square_psi() -> NamedPsi:
@@ -130,9 +137,9 @@ def exp_power_psi(c_exp: float) -> NamedPsi:
     return NamedPsi(
         name="exp_power",
         k0=1.0,
-        evaluator=lambda k: psi_exp_power(k, c_exp),
-        log_evaluator=lambda k: _log_psi_exp_power(k, p),
-        parameters=MappingProxyType({"c_exp": c_exp, "p": p}),
+        evaluator=functools.partial(psi_exp_power, c_exp=c_exp),
+        log_evaluator=functools.partial(_log_psi_exp_power, p=p),
+        parameters={"c_exp": c_exp, "p": p},
     )
 
 

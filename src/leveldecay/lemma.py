@@ -47,7 +47,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._records import Record
+from ._records import _MONOTONE_SLACK, Record, _frozen
 
 __all__ = [
     "CLASSIFY_TOL",
@@ -77,10 +77,6 @@ __all__ = [
 #: Default tolerance for case classification (|B-1|, |C-1| and the
 #: balance residual all compare against this).
 CLASSIFY_TOL = 1e-9
-
-#: Relative slack allowed for "nonincreasing" table values (absorbs the
-#: rounding of values produced by floating-point formulas).
-_MONOTONE_SLACK = 1e-12
 
 #: Pairs per array batch of the all-pairs check; bounds its memory
 #: independently of the table size.
@@ -379,12 +375,13 @@ def envelope(hyp: DecayHypothesis, psi_at_k0: float, k: float) -> float:
 class PsiTable(Record, eq=False):
     """A nonincreasing nonnegative step function tabulated at knots.
 
-    ``knots`` and ``values`` are read-only float64 arrays, copied from the
-    inputs once.  Evaluation follows the right-continuous step convention:
-    psi(k) is the value at the largest knot <= k.  Values may rise by at
-    most a 1e-12 relative slack between consecutive knots, absorbing
-    rounding in externally computed tables.  A rejected table raises
-    :class:`ValueError` naming its first offending knot pair or value.
+    Read-only float64 knots and values that no writeable array shares memory
+    with are kept, others copied once and frozen.  Evaluation follows the
+    right-continuous step convention: psi(k) is the value at the largest
+    knot <= k.  Values may rise by at most a 1e-12 relative slack between
+    consecutive knots, absorbing rounding in externally computed tables.
+    A rejected table raises :class:`ValueError` naming its first offending
+    knot pair or value.
     """
 
     knots: np.ndarray
@@ -392,8 +389,8 @@ class PsiTable(Record, eq=False):
     k0: float
 
     def __post_init__(self) -> None:
-        knots = np.array(self.knots, dtype=float)
-        values = np.array(self.values, dtype=float)
+        knots = _frozen(self.knots)
+        values = _frozen(self.values)
         if knots.ndim != 1 or values.ndim != 1:
             raise ValueError("knots and values must be one-dimensional")
         if knots.size == 0:
@@ -422,9 +419,8 @@ class PsiTable(Record, eq=False):
         if rises.size:
             a, b = values[rises[0]:rises[0] + 2].tolist()
             raise ValueError(f"values must be nonincreasing, got {a} then {b}")
-        for name, array in (("knots", knots), ("values", values)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "k0", float(self.k0))
 
     def __len__(self) -> int:

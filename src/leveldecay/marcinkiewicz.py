@@ -25,7 +25,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._records import Record
+from ._records import _MONOTONE_SLACK, Record, _frozen, _keepable
 
 __all__ = [
     "MIN_FIT_POINTS",
@@ -51,9 +51,6 @@ MIN_FIT_POINTS = 8
 
 #: Relative slack applied when the integral bound is checked at equality.
 _BOUND_SLACK = 1e-9
-
-#: Relative slack allowed in the monotonicity check of a profile.
-_MONOTONE_SLACK = 1e-12
 
 #: Cells per block of the O(N) passes of ``power_source`` and the level
 #: index: a call allocates only the arrays it returns or keeps, plus scratch
@@ -87,26 +84,6 @@ def unit_ball_volume(n: int) -> float:
     if volume == 0.0:
         raise ValueError(f"the unit ball volume underflows to 0 in dimension n = {n}")
     return volume
-
-
-def _keepable(values) -> bool:
-    """Whether ``values`` is a read-only float64 array that no writeable array shares
-    memory with, because it owns its data or its base (numpy's owner of the memory)
-    is read-only.  The owner must not make such an array writeable again."""
-    if type(values) is np.ndarray and values.dtype == np.float64 and not values.flags.writeable:
-        base = values.base
-        return base is None or (type(base) is np.ndarray and not base.flags.writeable)
-    return False
-
-
-def _frozen(values) -> np.ndarray:
-    """``values`` as a read-only float64 array: kept if :func:`_keepable`, else
-    copied once and frozen."""
-    if _keepable(values):
-        return values
-    array = np.array(values, dtype=float)
-    array.setflags(write=False)
-    return array
 
 
 #: Cumulative sums of keepable weight arrays (see :func:`_cumulative`), by the
@@ -212,11 +189,10 @@ class _LevelIndex:
     pass that writes ``keys`` block by block finds the stable order to be
     the identity: ``keys`` is -|v| itself and ``prefix`` the plain
     cumulative weight, bitwise the same as through the sort, with no order
-    array or gathers.  That prefix depends on the weights alone, so for
-    weights that no one can write to (a grid's ``cell_measures``) it is
-    computed once and shared by every index on them (:func:`_cumulative`):
-    such an index costs its 8 bytes a cell of keys.  Neither input is
-    copied; ``keys`` and ``prefix`` are read-only.
+    array or gathers.  For keepable weights (a grid's ``cell_measures``)
+    that prefix is shared (:func:`_cumulative`), so such an index costs its
+    8 bytes a cell of keys.  Neither input is copied; ``keys`` and
+    ``prefix`` are read-only.
     """
 
     __slots__ = ("keys", "prefix")

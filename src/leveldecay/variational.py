@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._records import Record
+from ._records import Record, _frozen
 from .exponents import ExponentSet, ProblemParams, Regime, compute_exponents
 from .lemma import _pair_scan
 from .marcinkiewicz import (
@@ -43,7 +43,6 @@ from .marcinkiewicz import (
     InsufficientPointsError,
     _LevelIndex,
     _float_range_error,
-    _frozen,
     exp_integrability_fit,
     power_source,
     tail_exponent_fit,
@@ -126,72 +125,68 @@ class NonFiniteEnergyError(ArithmeticError):
 # --------------------------------------------------------------------------
 # grid and fields
 # --------------------------------------------------------------------------
-class RadialGrid:
+class RadialGrid(Record, eq=False):
     """Uniform radial grid on the ball of the given radius in n dimensions.
 
-    ``nodes`` are the cells + 1 radii, ``cell_measures[i]`` is the exact
-    volume of the shell between ``nodes[i]`` and ``nodes[i+1]``, and
-    ``spacing`` is the uniform radial step.  A radius and dimension whose
-    shell measures leave the float range, overflowing or underflowing to
-    0, raise :class:`ValueError`.
+    Set once from the fields, ``nodes`` are the cells + 1 radii,
+    ``cell_measures[i]`` is the exact volume of the shell between ``nodes[i]``
+    and ``nodes[i+1]``, and ``spacing`` is the uniform radial step.  A radius and
+    dimension whose shell measures overflow or underflow to 0 raise :class:`ValueError`.
     """
 
-    __slots__ = ("n", "radius", "cells", "nodes", "cell_measures", "spacing")
+    n: int
+    radius: float
+    cells: int
 
-    def __init__(self, n: int, radius: float, cells: int):
-        volume = unit_ball_volume(n)
-        radius = float(radius)
+    def __post_init__(self) -> None:
+        volume = unit_ball_volume(self.n)
+        radius, cells = float(self.radius), self.cells
         if not math.isfinite(radius) or radius <= 0.0:
             raise ValueError("radius must be positive and finite")
         if not (isinstance(cells, numbers.Real) and 1 <= cells < math.inf and cells == int(cells)):
             raise ValueError("cells must be a positive integer")
-        self.n = int(n)
-        self.radius = radius
-        self.cells = int(cells)
-        self.spacing = radius / self.cells
+        n, cells = int(self.n), int(cells)
+        spacing = radius / cells
         # np.linspace(0, radius, cells + 1), bit for bit, in an array that owns its
         # memory, so that arrays built on the grid can keep it without a copy
-        nodes = np.arange(self.cells + 1, dtype=float)
-        nodes *= self.spacing
+        nodes = np.arange(cells + 1, dtype=float)
+        nodes *= spacing
         nodes[-1] = radius
         # volume * diff(nodes ** n), the difference written straight into the measures
         with np.errstate(over="ignore", invalid="ignore"):
-            powers = nodes ** self.n
+            powers = nodes**n
             measures = np.subtract(powers[1:], powers[:-1])
             measures *= volume
         if not (measures.min() > 0.0 and measures.max() < math.inf):  # NaN fails
-            raise _float_range_error(radius, self.n)
+            raise _float_range_error(radius, n)
         nodes.setflags(write=False)
         measures.setflags(write=False)
-        self.nodes = nodes
-        self.cell_measures = measures
+        for name, value in (("n", n), ("radius", radius), ("cells", cells), ("spacing", spacing),
+                            ("nodes", nodes), ("cell_measures", measures)):
+            object.__setattr__(self, name, value)
 
 
-class DiscreteField:
+class DiscreteField(Record, eq=False):
     """Continuous piecewise-linear radial field with zero boundary trace.
 
     Read-only float64 nodal values that no writeable array shares memory
-    with are kept, others copied once and frozen.  The field keeps the
-    sorted level index of its last ``level_profile`` grid, keyed on that
-    grid's ``cell_measures`` array, so measuring it again on the same grid
-    skips building it; the index costs its 8 bytes per cell of keys while
-    the field is alive, plus the cumulative cell measure that every index
-    on the grid shares.  Nodal values and cell measures are read-only, and
-    nothing can write to their memory, so a kept index cannot go stale.
+    with are kept, others copied once and frozen.  The level index of its
+    last ``level_profile`` grid is kept with it (see there) and cannot go stale:
+    neither its nodal values nor the grid's cell measures can be rebound or written to.
     """
 
-    __slots__ = ("nodal_values", "_level_index")
+    nodal_values: np.ndarray
 
-    def __init__(self, nodal_values):
-        vals = _frozen(nodal_values)
+    def __post_init__(self) -> None:
+        vals = _frozen(self.nodal_values)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("a field needs at least two nodal values")
         if not np.isfinite(vals).all():
             raise ValueError("nodal values must be finite")
         if vals[-1] != 0.0:
             raise ValueError("the boundary trace must vanish")
-        self.nodal_values = vals
-        self._level_index: Optional[Tuple[np.ndarray, _LevelIndex]] = None
+        object.__setattr__(self, "nodal_values", vals)
+        object.__setattr__(self, "_level_index", None)  # or (cell_measures, index): a cache, no field
 
 
 class FunctionalSpec(Record, eq=False):
@@ -578,7 +573,7 @@ def _level_index(field: DiscreteField, grid: RadialGrid) -> _LevelIndex:
         midvalues = u[:-1] + u[1:]
         midvalues *= 0.5
         kept = (grid.cell_measures, _LevelIndex(midvalues, grid.cell_measures))
-        field._level_index = kept
+        object.__setattr__(field, "_level_index", kept)
     return kept[1]
 
 

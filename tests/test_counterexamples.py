@@ -3,8 +3,10 @@
 Closed-form identities are checked to a few ulps; levels where the
 floats underflow are certified through the log-value fields.
 """
+import copy
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -119,6 +121,26 @@ def test_frozen_results_hold_no_mutable_container():
     for psi in (exp_power_psi(2.0), log_square_psi()):
         with pytest.raises(TypeError):
             psi.parameters["p"] = 0
+
+
+@pytest.mark.parametrize("make", [log_square_psi, lambda: exp_power_psi(2.0)])
+def test_named_psi_hashes_pickles_and_copies(make):
+    psi = make()
+    assert hash(psi) == hash(psi) and psi == psi and psi != make()
+    assert psi.parameters is not make().parameters
+    for made in (pickle.loads(pickle.dumps(psi)), copy.deepcopy(psi), copy.copy(psi)):
+        assert type(made) is NamedPsi and made is not psi
+        assert made.parameters == psi.parameters and made.parameters is not psi.parameters
+        with pytest.raises(TypeError):
+            made.parameters["p"] = 0
+        for k in (1.0, 1.5, 8.0, 1e3, 2.0**40):
+            assert made.evaluator(k) == psi.evaluator(k)
+            assert made.log_evaluator(k) == psi.log_evaluator(k)
+    if psi.parameters:  # the evaluators are psi_exp_power and its log, bit for bit
+        c_exp, p = psi.parameters["c_exp"], psi.parameters["p"]
+        for k in (1.0, 1.5, 8.0, 1e3):
+            assert psi.evaluator(k) == psi_exp_power(k, c_exp)
+            assert psi.log_evaluator(k) == -(k**p)
 
 
 def test_vanishing_violation_none_when_log_at_2l_is_below_float_range():

@@ -456,6 +456,17 @@ def test_psi_table_arrays_are_read_only_copies():
     assert repr(table) == "PsiTable(3 knots on [1.0, 4.0], k0=1.0)"
 
 
+def test_psi_table_keeps_read_only_arrays_and_copies_read_only_views_of_writeable_ones():
+    knots, base = np.array([1.0, 2.0, 4.0]), np.array([1.0, 0.5, 0.25])
+    knots.setflags(write=False)
+    view = base.view()
+    view.setflags(write=False)
+    table = PsiTable(knots, view, k0=1.0)
+    assert table.knots is knots and table.values is not view
+    base[0] = 9.0
+    assert table.values.tolist() == [1.0, 0.5, 0.25] and not table.values.flags.writeable
+
+
 @given(
     st.lists(st.floats(0.0, 100.0), min_size=1, max_size=8, unique=True),
     st.data(),

@@ -25,9 +25,11 @@ from leveldecay import (
     FitResult,
     FunctionalSpec,
     NamedPsi,
+    DiscreteField,
     PowerSource,
     ProblemParams,
     PsiTable,
+    RadialGrid,
     SolverTolerances,
     SummabilityResult,
     check_envelope,
@@ -36,6 +38,7 @@ from leveldecay import (
     compute_exponents,
     distribution_function,
     envelope_constants,
+    exp_power_psi,
     experiment_regularity,
     find_envelope_violation,
     giusti_recursion,
@@ -48,9 +51,14 @@ from leveldecay import (
     weak_norm_estimate,
 )
 from leveldecay._records import Record
+from leveldecay.cli import _COMMANDS
 
-#: The records that hold numpy arrays, where ``==`` on the fields is ambiguous.
-IDENTITY_RECORDS = (DistributionProfile, FunctionalSpec, PowerSource, PsiTable, SummabilityResult)
+#: The records that hold numpy arrays, where ``==`` on the fields is ambiguous,
+#: and ``NamedPsi``, whose read-only ``parameters`` mapping does not hash.
+IDENTITY_RECORDS = (
+    DiscreteField, DistributionProfile, FunctionalSpec, NamedPsi, PowerSource, PsiTable,
+    RadialGrid, SummabilityResult,
+)
 
 #: The methods a record takes from ``Record``, or writes in its own class body.
 SHARED_METHODS = ("__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__")
@@ -65,8 +73,6 @@ def _samples() -> dict:
     hyp = DecayHypothesis(c1=1.0, A=2.0, B=0.75, C=0.5, D=4.0)
     table = PsiTable(knots=[1.0, 2.0, 4.0, 8.0], values=[1.0, 0.5, 0.2, 0.0], k0=1.0)
     log_square = log_square_psi()
-    # a dict in place of the default MappingProxyType, which neither pickles nor deep-copies
-    psi = dataclasses.replace(log_square, parameters={"c2": 1.0})
     canonical = DecayHypothesis(c1=1.0, A=1.0, B=1.0, C=1.0, D=2.0 * math.log(2.0), k0=1.0)
     values = np.linspace(3.0, 0.5, 16)
     weights = np.full(16, 0.25)
@@ -76,7 +82,7 @@ def _samples() -> dict:
     samples = [
         params, exps, exps.hyp, hyp, classify(hyp), envelope_constants(hyp, 1.0), table,
         check_hypothesis(table, hyp, AllKnotPairs()), check_envelope(table, hyp, 1.0),
-        giusti_recursion(1.0, 2.0, 2.0, 0.5, 3), psi,
+        giusti_recursion(1.0, 2.0, 2.0, 0.5, 3), exp_power_psi(2.0),
         find_envelope_violation(log_square, canonical, psi_at_k0=1.0, k_max=1e16),
         profile, weak_norm_estimate(profile, 2.0), FitResult(1.0, 2.0, 0.9, 10),
         summability_test(profile, 2.0, 10),
@@ -86,7 +92,8 @@ def _samples() -> dict:
         levelset_inequality_check(
             run.report.final_field, run.grid, run.spec, [(0.5 * run.max_u, 0.25 * run.max_u)]
         ),
-        run, experiment, summarize(run.profile, exps),
+        run, experiment, summarize(run.profile, exps), run.grid, run.report.final_field,
+        _COMMANDS["verify"],
     ]
     return {type(sample): sample for sample in samples}
 
@@ -203,6 +210,18 @@ def test_record_round_trips(samples, cls):
         assert pickle.dumps(made) == pickle.dumps(record)
     if cls not in IDENTITY_RECORDS:  # the same field objects
         assert dataclasses.replace(record) == record
+
+
+@pytest.mark.parametrize(
+    "cls", (DiscreteField, DistributionProfile, FunctionalSpec, PsiTable, RadialGrid),
+    ids=lambda cls: cls.__name__,
+)
+def test_record_copies_hold_only_read_only_arrays(samples, cls):
+    # a copy is rebuilt through the constructor, which freezes the arrays it keeps
+    record = samples[cls]
+    for made in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        arrays = [value for value in vars(made).values() if isinstance(value, np.ndarray)]
+        assert not any(array.flags.writeable for array in arrays)
 
 
 def test_default_factory_gives_each_record_its_own_default():

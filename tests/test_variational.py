@@ -9,9 +9,11 @@ Earlier forms of the energy kernel, the tridiagonal solve, the shift
 loop and the level-set check are kept as bitwise oracles of their
 leaner successors.
 """
+import dataclasses
 import gc
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -183,6 +185,20 @@ def test_radial_grid_nodes_are_linspace_in_an_array_of_their_own(radius, cells):
     grid = RadialGrid(n=1, radius=radius, cells=cells)
     assert grid.nodes.base is None
     assert np.array_equal(grid.nodes, np.linspace(0.0, radius, cells + 1))
+
+
+def test_grid_and_field_arrays_cannot_be_rebound():
+    # {|u| >= 2.5} is the first two of the midpoint values 3.5, 2.5, 1.5, 0.5: the disc of radius 1/2
+    grid = RadialGrid(n=2, radius=1.0, cells=4)
+    field = DiscreteField([4.0, 3.0, 2.0, 1.0, 0.0])
+    assert level_profile(field, grid, [2.5]).measures.tolist() == [math.pi / 4.0]
+    for record, name in ((field, "nodal_values"), (grid, "cell_measures"), (grid, "nodes")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, np.zeros(getattr(record, name).size))
+    assert not (grid.nodes.flags.writeable or grid.cell_measures.flags.writeable)
+    assert level_profile(field, grid, [2.5]).measures.tolist() == [math.pi / 4.0]
+    copy = pickle.loads(pickle.dumps(field))  # rebuilt through the constructor, without the index
+    assert copy._level_index is None and not copy.nodal_values.flags.writeable
 
 
 def test_discrete_field_zero_trace_enforced():
