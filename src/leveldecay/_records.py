@@ -4,9 +4,10 @@ A subclass is a dataclass whose one compiled method is ``__init__``; the
 frozen ``__setattr__``/``__delattr__``, ``__repr__``, ``__eq__`` and ``__hash__``
 are shared and act as ``dataclass(frozen=True)``'s.  Fields take a default or a
 ``default_factory``, no other ``field`` option.  ``class X(Record, eq=False)``
-compares and hashes by identity, for records that hold arrays, stored by :func:`_frozen`.
+compares and hashes by identity, for records that hold arrays.
 """
 import dataclasses
+import numbers
 import operator
 
 import numpy as np
@@ -22,6 +23,11 @@ def _keepable(values) -> bool:
         base = values.base
         return base is None or (type(base) is np.ndarray and not base.flags.writeable)
     return False
+
+
+def _whole(value) -> bool:
+    """Whether ``value`` is a finite real number equal to its ``int``, as a count must be."""
+    return isinstance(value, numbers.Real) and abs(value) < np.inf and value == int(value)
 
 
 def _frozen(values) -> np.ndarray:
@@ -43,7 +49,8 @@ _FACTORY = _Factory()
 
 
 class Record:
-    """Base of a frozen dataclass that compiles only its ``__init__``."""
+    """Base of a frozen dataclass that compiles only its ``__init__``, which stores each
+    field annotated ``np.ndarray`` by :func:`_frozen` (the kept-array rule)."""
 
     def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -54,7 +61,7 @@ class Record:
         # (a one-field record's lone value, which compares the same)
         cls._record_values = staticmethod(operator.attrgetter(*names))
         # the __init__ that dataclass would write: defaults, factories, stores, __post_init__
-        scope = {"__name__": cls.__module__, "_setattr": object.__setattr__, "_FACTORY": _FACTORY}
+        scope = dict(__name__=cls.__module__, _setattr=object.__setattr__, _FACTORY=_FACTORY, _frozen=_frozen)
         params, body = ["self"], []
         for f in fields:
             value = f.name
@@ -67,6 +74,8 @@ class Record:
                 params.append(f"{f.name}=_d_{f.name}")
             else:
                 params.append(f.name)
+            if f.type in ("np.ndarray", np.ndarray):  # the kept-array rule
+                value = f"_frozen({value})"
             body.append(f"_setattr(self, {f.name!r}, {value})")
         if hasattr(cls, "__post_init__"):
             body.append("self.__post_init__()")

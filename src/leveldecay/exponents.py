@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import numbers
 from math import isfinite
 
 from ._records import Record
@@ -65,8 +66,9 @@ class ProblemParams(Record):
     b_const: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
+        if not isinstance(self.n, numbers.Integral) or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
         for name in ("p", "alpha", "r", "beta1", "b_const"):
             value = getattr(self, name)
             if not isfinite(value):

@@ -47,7 +47,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._records import _MONOTONE_SLACK, Record, _frozen
+from ._records import _MONOTONE_SLACK, Record
 
 __all__ = [
     "CLASSIFY_TOL",
@@ -375,9 +375,8 @@ def envelope(hyp: DecayHypothesis, psi_at_k0: float, k: float) -> float:
 class PsiTable(Record, eq=False):
     """A nonincreasing nonnegative step function tabulated at knots.
 
-    Read-only float64 knots and values that no writeable array shares memory
-    with are kept, others copied once and frozen.  Evaluation follows the
-    right-continuous step convention: psi(k) is the value at the largest
+    Knots and values follow :class:`Record`'s kept-array rule.  Evaluation follows
+    the right-continuous step convention: psi(k) is the value at the largest
     knot <= k.  Values may rise by at most a 1e-12 relative slack between
     consecutive knots, absorbing rounding in externally computed tables.
     A rejected table raises :class:`ValueError` naming its first offending
@@ -389,8 +388,7 @@ class PsiTable(Record, eq=False):
     k0: float
 
     def __post_init__(self) -> None:
-        knots = _frozen(self.knots)
-        values = _frozen(self.values)
+        knots, values = self.knots, self.values
         if knots.ndim != 1 or values.ndim != 1:
             raise ValueError("knots and values must be one-dimensional")
         if knots.size == 0:
@@ -419,8 +417,6 @@ class PsiTable(Record, eq=False):
         if rises.size:
             a, b = values[rises[0]:rises[0] + 2].tolist()
             raise ValueError(f"values must be nonincreasing, got {a} then {b}")
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
         object.__setattr__(self, "k0", float(self.k0))
 
     def __len__(self) -> int:

@@ -25,7 +25,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._records import _MONOTONE_SLACK, Record, _frozen, _keepable
+from ._records import _MONOTONE_SLACK, Record, _frozen, _keepable, _whole
 
 __all__ = [
     "MIN_FIT_POINTS",
@@ -74,7 +74,7 @@ def unit_ball_volume(n: int) -> float:
     computed through ``math.lgamma``; a dimension whose volume underflows
     to 0 raises :class:`ValueError`.
     """
-    if not 1 <= n < math.inf or n != int(n):
+    if not (_whole(n) and n >= 1):
         raise ValueError("dimension must be a positive integer")
     n = int(n)
     try:
@@ -139,9 +139,8 @@ class DistributionProfile(Record, eq=False):
 
     ``measures[i]`` is the measure of the superlevel set at ``levels[i]``
     (ties at the level are counted in, so the map is right-continuous from
-    below).  ``total_measure`` is the measure of the whole domain.  Read-only
-    float64 levels and measures that no writeable array shares memory with
-    are kept, others copied once and frozen.
+    below).  ``total_measure`` is the measure of the whole domain.  Levels
+    and measures follow :class:`Record`'s kept-array rule.
     """
 
     levels: np.ndarray
@@ -149,10 +148,7 @@ class DistributionProfile(Record, eq=False):
     total_measure: float
 
     def __post_init__(self) -> None:
-        levels = _frozen(self.levels)
-        measures = _frozen(self.measures)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "measures", measures)
+        levels, measures = self.levels, self.measures
         object.__setattr__(self, "total_measure", float(self.total_measure))
         if levels.ndim != 1 or measures.ndim != 1:
             raise ValueError("levels and measures must be one-dimensional")
@@ -412,11 +408,13 @@ def summability_test(prof: DistributionProfile, r: float, k_top: int) -> Summabi
     the last decade (k_top/10, k_top] contributes less than 1% of S_{k_top}.
     """
     r = float(r)
-    k_top = int(k_top)
     if not math.isfinite(r) or r <= 0.0:
         raise ValueError("r must be positive and finite")
+    if not _whole(k_top):
+        raise ValueError("k_top must be an integer")
     if k_top < 10:
         raise ValueError("k_top must be at least 10")
+    k_top = int(k_top)
     ks = np.arange(1, k_top + 1, dtype=float)
     steps = np.concatenate(([prof.total_measure], prof.measures))
     mus = steps[np.searchsorted(prof.levels, ks, side="right")]
@@ -515,8 +513,8 @@ def power_source(nodes, n: int, r: float, scale: float) -> PowerSource:
         avg = scale * (n/m) * (r2^m - r1^m) / (r2^n - r1^n),   m = n (1 - 1/r),
 
     which is exact (m > 0 because r > 1, so the origin cell is integrable).
-    Read-only float64 nodes that no writeable array shares memory with (a
-    ``RadialGrid``'s) are kept, others copied once and frozen.  The cells
+    The nodes follow :class:`Record`'s kept-array rule (a ``RadialGrid``'s are
+    kept), applied before they are checked.  The cells
     are computed in blocks of ``_BLOCK``, straight into the returned array.
     A shell r2^n - r1^n past the float range raises ValueError, and else a
     cell average past it does, wherever in the grid either lies.

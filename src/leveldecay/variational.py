@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import operator
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._records import Record, _frozen
+from ._records import Record, _whole
 from .exponents import ExponentSet, ProblemParams, Regime, compute_exponents
 from .lemma import _pair_scan
 from .marcinkiewicz import (
@@ -143,7 +142,7 @@ class RadialGrid(Record, eq=False):
         radius, cells = float(self.radius), self.cells
         if not math.isfinite(radius) or radius <= 0.0:
             raise ValueError("radius must be positive and finite")
-        if not (isinstance(cells, numbers.Real) and 1 <= cells < math.inf and cells == int(cells)):
+        if not (_whole(cells) and cells >= 1):
             raise ValueError("cells must be a positive integer")
         n, cells = int(self.n), int(cells)
         spacing = radius / cells
@@ -169,8 +168,7 @@ class RadialGrid(Record, eq=False):
 class DiscreteField(Record, eq=False):
     """Continuous piecewise-linear radial field with zero boundary trace.
 
-    Read-only float64 nodal values that no writeable array shares memory
-    with are kept, others copied once and frozen.  The level index of its
+    Nodal values follow :class:`Record`'s kept-array rule.  The level index of its
     last ``level_profile`` grid is kept with it (see there) and cannot go stale:
     neither its nodal values nor the grid's cell measures can be rebound or written to.
     """
@@ -178,14 +176,12 @@ class DiscreteField(Record, eq=False):
     nodal_values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = _frozen(self.nodal_values)
-        if vals.ndim != 1 or vals.size < 2:
+        if self.nodal_values.ndim != 1 or self.nodal_values.size < 2:
             raise ValueError("a field needs at least two nodal values")
-        if not np.isfinite(vals).all():
+        if not np.isfinite(self.nodal_values).all():
             raise ValueError("nodal values must be finite")
-        if vals[-1] != 0.0:
+        if self.nodal_values[-1] != 0.0:
             raise ValueError("the boundary trace must vanish")
-        object.__setattr__(self, "nodal_values", vals)
         object.__setattr__(self, "_level_index", None)  # or (cell_measures, index): a cache, no field
 
 
@@ -193,8 +189,7 @@ class FunctionalSpec(Record, eq=False):
     """Problem parameters, cell-averaged source and gradient regularization.
 
     ``epsilon`` must be finite and nonnegative, with ``epsilon ** p`` a float.
-    A read-only float64 source that no writeable array shares memory with is
-    kept, others copied once and frozen.
+    The source follows :class:`Record`'s kept-array rule.
     """
 
     params: ProblemParams
@@ -202,12 +197,10 @@ class FunctionalSpec(Record, eq=False):
     epsilon: float
 
     def __post_init__(self) -> None:
-        source = _frozen(self.source)
-        if source.ndim != 1:
+        if self.source.ndim != 1:
             raise ValueError("source must be one-dimensional")
-        if not np.isfinite(source).all():
+        if not np.isfinite(self.source).all():
             raise ValueError("source must be finite")
-        object.__setattr__(self, "source", source)
         object.__setattr__(self, "epsilon", float(self.epsilon))
         if not math.isfinite(self.epsilon) or self.epsilon < 0.0:
             raise ValueError("epsilon must be finite and nonnegative")
@@ -391,11 +384,13 @@ class SolverTolerances(Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grad_tol", float(self.grad_tol))
-        object.__setattr__(self, "max_iters", int(self.max_iters))
         if not math.isfinite(self.grad_tol) or self.grad_tol < 0.0:
             raise ValueError("grad_tol must be finite and nonnegative")
+        if not _whole(self.max_iters):
+            raise ValueError("max_iters must be an integer")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
+        object.__setattr__(self, "max_iters", int(self.max_iters))
 
 
 class MinimizeReport(Record):

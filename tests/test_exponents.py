@@ -6,6 +6,7 @@ Expected values are frozen from independent hand/rational arithmetic
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -85,6 +86,17 @@ def test_problem_params_validation():
 def test_problem_params_domain_errors(name, value, message):
     with pytest.raises(ValueError, match=message):
         ProblemParams(**{"n": 4, "p": 2.0, "alpha": 0.25, "r": 1.75, name: value})
+
+
+def test_problem_params_take_any_integral_dimension():
+    # any integral n, as RadialGrid takes it, is stored as an int
+    params = ProblemParams(n=np.int64(4), p=2.0, alpha=0.25, r=1.75)
+    plain = ProblemParams(n=4, p=2.0, alpha=0.25, r=1.75)
+    assert type(params.n) is int and params == plain and hash(params) == hash(plain)
+    assert repr(params) == repr(plain) and compute_exponents(params) is compute_exponents(plain)
+    for n in (True, 4.0):
+        with pytest.raises(ValueError, match=f"^n must be an integer >= 2, got {n}$"):
+            ProblemParams(n=n, p=2.0, alpha=0.25, r=1.75)
 
 
 def test_problem_params_allows_linear_regime():

@@ -624,6 +624,20 @@ def test_fits_match_a_60_digit_least_squares_oracle(case):
             assert fit.intercept == pytest.approx(intercept, rel=1e-9)
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=_falling_lines())
+@example(case=(300.0, DistributionProfile(1e300 * np.linspace(1.0, 10.0, 8), np.exp(np.arange(8.0, 0.0, -1.0)),
+                                          math.exp(8.0))))
+@example(case=(-300.0, DistributionProfile(1e-300 * np.linspace(1.0, 10.0, 8), np.exp(np.arange(8.0, 0.0, -1.0)),
+                                           math.exp(8.0))))
+def test_fits_match_the_oracle_in_plain_doubles(case):
+    # where np.longdouble is np.float64 (MSVC builds, arm64 macOS) _ols_line sums in
+    # plain doubles, a path that x86-64 runs never take
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "longdouble", np.float64)
+        test_fits_match_a_60_digit_least_squares_oracle.hypothesis.inner_test(case)
+
+
 @pytest.mark.parametrize("low, high", [(1e150, 1e160), (1e-300, 1e-290)])
 def test_exp_fit_at_the_ends_of_the_float_range(low, high):
     # np.polyfit squared these levels: it returned slope 0.0 with an overflow

@@ -213,7 +213,8 @@ def test_record_round_trips(samples, cls):
 
 
 @pytest.mark.parametrize(
-    "cls", (DiscreteField, DistributionProfile, FunctionalSpec, PsiTable, RadialGrid),
+    "cls", (DiscreteField, DistributionProfile, FunctionalSpec, PowerSource, PsiTable, RadialGrid,
+            SummabilityResult),
     ids=lambda cls: cls.__name__,
 )
 def test_record_copies_hold_only_read_only_arrays(samples, cls):
@@ -222,6 +223,23 @@ def test_record_copies_hold_only_read_only_arrays(samples, cls):
     for made in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         arrays = [value for value in vars(made).values() if isinstance(value, np.ndarray)]
         assert not any(array.flags.writeable for array in arrays)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_built_from_writeable_arrays_hold_only_read_only_arrays(samples, cls):
+    # Record's __init__ freezes every np.ndarray field, whoever builds the record
+    values = _field_values(samples[cls])
+    made = cls(**{key: value.copy() if isinstance(value, np.ndarray) else value for key, value in values.items()})
+    arrays = [value for value in vars(made).values() if isinstance(value, np.ndarray)]
+    assert not any(array.flags.writeable for array in arrays)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_every_array_field_is_annotated_as_one(samples, cls):
+    # the kept-array rule reads the annotation: a misspelled one would skip it
+    for f in dataclasses.fields(cls):
+        if isinstance(getattr(samples[cls], f.name), np.ndarray):
+            assert f.type == "np.ndarray", (cls, f.name, f.type)
 
 
 def test_default_factory_gives_each_record_its_own_default():

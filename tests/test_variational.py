@@ -34,6 +34,7 @@ from leveldecay.marcinkiewicz import (
     DistributionProfile,
     distribution_function,
     power_source,
+    summability_test,
     unit_ball_volume,
 )
 from leveldecay.variational import (
@@ -357,6 +358,24 @@ def _spec_with(**change):
 def test_spec_and_tolerance_domain_errors(call, change, message):
     with pytest.raises(ValueError, match=message):
         call(**change)
+
+
+_COUNTS = {
+    "max_iters": lambda count: SolverTolerances(max_iters=count),
+    "k_top": lambda count: summability_test(DistributionProfile([1.0, 2.0], [2.0, 1.0], 3.0), 2.0, k_top=count),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 10.9, math.inf, -math.inf, math.nan, "12"])
+@pytest.mark.parametrize("name", sorted(_COUNTS))
+def test_counts_are_whole_numbers(name, value):
+    # a count is a finite real number equal to its int: int() would truncate 1.5,
+    # overflow at inf and read the string "12"
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        _COUNTS[name](value)
+    for whole in (12.0, np.float64(12.0), np.int64(12)):  # a whole float is a count, stored as int
+        made = getattr(_COUNTS[name](whole), name)
+        assert made == 12 and type(made) is int
 
 
 def _tiers(u, *args):
