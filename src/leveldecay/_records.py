@@ -7,6 +7,7 @@ are shared and act as ``dataclass(frozen=True)``'s.  Fields take a default or a
 compares and hashes by identity, for records that hold arrays.
 """
 import dataclasses
+import math
 import numbers
 import operator
 
@@ -28,6 +29,22 @@ def _keepable(values) -> bool:
 def _whole(value) -> bool:
     """Whether ``value`` is a finite real number equal to its ``int``, as a count must be."""
     return isinstance(value, numbers.Real) and abs(value) < np.inf and value == int(value)
+
+
+def _real(name: str, value, *, above: float | None = None, at_least: float | None = None) -> float:
+    """``value`` as a float if it is a finite real number above ``above`` and at least ``at_least``,
+    as a parameter must be; else a ValueError naming the parameter, its bound and the value."""
+    real = type(value) is float or isinstance(value, numbers.Real)  # a float skips the slower ABC check
+    try:
+        x = float(value) if real else None
+    except OverflowError:  # an int or Fraction past the float range
+        x = math.inf if value > 0 else -math.inf
+    if x is not None and abs(x) < math.inf:  # NaN fails
+        if (above is None or x > above) and (at_least is None or x >= at_least):
+            return x
+    bound = ("" if above is None else " and positive" if above == 0 else f" and above {above:g}") + (
+        "" if at_least is None else " and nonnegative" if at_least == 0 else f" and at least {at_least:g}")
+    raise ValueError(f"{name} must be finite{bound}, got {repr(value) if x is None else x}")
 
 
 def _frozen(values) -> np.ndarray:

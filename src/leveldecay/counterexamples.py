@@ -24,14 +24,13 @@ import functools
 import math
 from dataclasses import field
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Tuple
 
-from ._records import Record
+from ._records import Record, _real
 from .lemma import (
     CaseTag,
     DecayHypothesis,
     WrongCaseError,
-    _check_psi_at_k0,
     _exp,
     _log,
     classify,
@@ -87,11 +86,10 @@ def _log_psi_exp_power(k: float, p: float) -> float:
         return -math.inf
 
 
-def _exp_power_p(c_exp: float) -> float:
-    """The exponent p = log2(2 c_exp) of the exp-power family; requires c_exp > 1."""
-    if not c_exp > 1.0:
-        raise ValueError(f"c_exp must exceed 1, got {c_exp}")
-    return math.log2(2.0 * c_exp)
+def _exp_power(c_exp: float) -> Tuple[float, float]:
+    """c_exp as a float and the exp-power exponent p = log2(2 c_exp); requires c_exp > 1."""
+    c_exp = _real("c_exp", c_exp, above=1)
+    return c_exp, math.log2(2.0 * c_exp)
 
 
 def psi_exp_power(k: float, c_exp: float) -> float:
@@ -99,7 +97,7 @@ def psi_exp_power(k: float, c_exp: float) -> float:
 
     Reads 0.0 where k**p exceeds the float range.
     """
-    return math.exp(_log_psi_exp_power(k, _exp_power_p(c_exp)))
+    return math.exp(_log_psi_exp_power(k, _exp_power(c_exp)[1]))
 
 
 class NamedPsi(Record, eq=False):
@@ -133,7 +131,7 @@ def exp_power_psi(c_exp: float) -> NamedPsi:
 
     Past the float range of k**p the value reads 0.0 and the log -inf.
     """
-    p = _exp_power_p(c_exp)
+    c_exp, p = _exp_power(c_exp)
     return NamedPsi(
         name="exp_power",
         k0=1.0,
@@ -154,9 +152,8 @@ def k0_for_exp_power(d_exp: float, c_exp: float) -> float:
     where their spacing is wider.  Raises ``ValueError`` when bracketing
     that root leaves the float range.
     """
-    if not d_exp > 0.0:
-        raise ValueError(f"d_exp must be positive, got {d_exp}")
-    p = _exp_power_p(c_exp)
+    d_exp = _real("d_exp", d_exp, above=0)
+    c_exp, p = _exp_power(c_exp)
 
     def g(k: float) -> float:
         return c_exp * k**p - d_exp * math.log(k)
@@ -224,9 +221,8 @@ def find_envelope_violation(
     ``k_max``, which must be finite; ``psi_at_k0`` must be finite and
     nonnegative.
     """
-    _check_psi_at_k0(psi_at_k0)
-    if not 0.0 < k_max < math.inf:
-        raise ValueError(f"k_max must be positive and finite, got {k_max}")
+    psi_at_k0 = _real("psi_at_k0", psi_at_k0, at_least=0)
+    k_max = _real("k_max", k_max, above=0)
     case = classify(hyp)
     if case.tag is CaseTag.EXPONENTIAL_DECAY:
         start = max(hyp.k0, psi.k0)
@@ -237,9 +233,7 @@ def find_envelope_violation(
         if tau_override is None:
             tau = exp_decay_tau(hyp).tau
         else:
-            if not tau_override > 0.0:
-                raise ValueError(f"tau_override must be positive, got {tau_override}")
-            tau = tau_override
+            tau = _real("tau_override", tau_override, above=0)
         theta = (hyp.D - hyp.A) / hyp.D
         log_psi0 = _log(psi_at_k0)
         j = 0
@@ -294,8 +288,8 @@ def equivalence_constant(
     constant derived from it, ``d_exp`` and ``b_exp`` the exponents D
     and B of the hypothesis (``b_exp < 1`` in this case).
     """
-    if not (c2 > 0.0 and d_exp > 0.0 and c_bar > 0.0 and b_exp > 0.0):
-        raise ValueError("all arguments must be positive")
+    c2, d_exp, c_bar, b_exp = (_real(name, value, above=0) for name, value in
+                               (("c2", c2), ("d_exp", d_exp), ("c_bar", c_bar), ("b_exp", b_exp)))
     if not b_exp < 1.0:
         raise ValueError(f"b_exp must be below 1 in the power-decay case, got {b_exp}")
     return max(4.0**d_exp * c2, c_bar ** (1.0 - b_exp))

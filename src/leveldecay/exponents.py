@@ -13,9 +13,8 @@ from __future__ import annotations
 import enum
 import functools
 import numbers
-from math import isfinite
 
-from ._records import Record
+from ._records import Record, _real
 
 __all__ = [
     "ExponentAssignment",
@@ -69,24 +68,15 @@ class ProblemParams(Record):
         if not isinstance(self.n, numbers.Integral) or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
-        for name in ("p", "alpha", "r", "beta1", "b_const"):
-            value = getattr(self, name)
-            if not isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not 1.0 < self.p <= self.n:
+        for name, above in (("p", 1), ("r", 1), ("beta1", 0), ("b_const", 0)):
+            object.__setattr__(self, name, _real(name, getattr(self, name), above=above))
+        object.__setattr__(self, "alpha", _real("alpha", self.alpha, at_least=0))
+        if not self.p <= self.n:
             raise ValueError(f"p must satisfy 1 < p <= n, got p={self.p}, n={self.n}")
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.alpha * holder_conjugate(self.p) >= 1.0:
             raise ValueError(
                 f"alpha must satisfy alpha * p' < 1, got alpha={self.alpha}, p={self.p}"
             )
-        if not self.r > 1.0:
-            raise ValueError(f"r must exceed 1, got {self.r}")
-        if not self.beta1 > 0.0:
-            raise ValueError(f"beta1 must be positive, got {self.beta1}")
-        if not self.b_const > 0.0:
-            raise ValueError(f"b_const must be positive, got {self.b_const}")
 
 
 class Regime(enum.Enum):

@@ -47,7 +47,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._records import _MONOTONE_SLACK, Record
+from ._records import _MONOTONE_SLACK, Record, _real, _whole
 
 __all__ = [
     "CLASSIFY_TOL",
@@ -126,18 +126,11 @@ class DecayHypothesis(Record):
     k0: float = 0.0
 
     def __post_init__(self) -> None:
-        fields = (self.c1, self.A, self.B, self.C, self.D, self.k0)
-        if not all(math.isfinite(v) for v in fields):
-            raise ValueError("all hypothesis fields must be finite")
-        if self.c1 <= 0.0:
-            raise ValueError(f"c1 must be positive, got {self.c1}")
-        for name, value in (("A", self.A), ("B", self.B), ("C", self.C), ("D", self.D)):
-            if value <= 0.0:
-                raise ValueError(f"exponent {name} must be positive, got {value}")
+        for name in ("c1", "A", "B", "C", "D"):
+            object.__setattr__(self, name, _real(name, getattr(self, name), above=0))
+        object.__setattr__(self, "k0", _real("k0", self.k0, at_least=0))
         if not self.A < self.D:
             raise ValueError(f"A must be smaller than D, got A={self.A}, D={self.D}")
-        if self.k0 < 0.0:
-            raise ValueError(f"k0 must be nonnegative, got {self.k0}")
 
 
 def classify(hyp: DecayHypothesis, tol: float = CLASSIFY_TOL) -> CaseClass:
@@ -149,8 +142,7 @@ def classify(hyp: DecayHypothesis, tol: float = CLASSIFY_TOL) -> CaseClass:
     ``(D-A)/(1-B) == D/(1-C)`` within ``tol``.  Everything else is
     ``Unclassified``.
     """
-    if not 0.0 < tol < math.inf:  # NaN fails
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    tol = _real("tol", tol, above=0)
     B, C = hyp.B, hyp.C
     if abs(B - 1.0) <= tol and abs(C - 1.0) <= tol:
         return CaseClass(CaseTag.EXPONENTIAL_DECAY)
@@ -186,11 +178,6 @@ def _require_case(hyp: DecayHypothesis, tag: CaseTag, op: str) -> CaseClass:
 
 def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
-
-
-def _check_psi_at_k0(psi_at_k0: float) -> None:
-    if not 0.0 <= psi_at_k0 < math.inf:
-        raise ValueError(f"psi_at_k0 must be finite and nonnegative, got {psi_at_k0}")
 
 
 def _exp(x: float) -> float:
@@ -236,7 +223,7 @@ def power_decay_constants(hyp: DecayHypothesis, psi_at_k0: float) -> EnvelopeCon
     ``inf`` beyond the float range.
     """
     case = _require_case(hyp, CaseTag.POWER_DECAY, "power_decay_constants")
-    _check_psi_at_k0(psi_at_k0)
+    psi_at_k0 = _real("psi_at_k0", psi_at_k0, at_least=0)
     lam, log_m, log_c_bar = _power_logs(hyp, psi_at_k0)
     return EnvelopeConstants(case=case, lam=lam, M=_exp(log_m), c_bar=_exp(log_c_bar))
 
@@ -287,7 +274,7 @@ def vanishing_level(hyp: DecayHypothesis, psi_at_k0: float) -> EnvelopeConstants
     beyond the float range.
     """
     case = _require_case(hyp, CaseTag.VANISHING, "vanishing_level")
-    _check_psi_at_k0(psi_at_k0)
+    psi_at_k0 = _real("psi_at_k0", psi_at_k0, at_least=0)
     B = max(hyp.B, hyp.C)
     C = min(hyp.B, hyp.C)
     A, D, k0 = hyp.A, hyp.D, hyp.k0
@@ -322,7 +309,7 @@ def envelope_constants(hyp: DecayHypothesis, psi_at_k0: float) -> EnvelopeConsta
     if case.tag is CaseTag.POWER_DECAY:
         return power_decay_constants(hyp, psi_at_k0)
     if case.tag is CaseTag.EXPONENTIAL_DECAY:
-        _check_psi_at_k0(psi_at_k0)
+        _real("psi_at_k0", psi_at_k0, at_least=0)
         return exp_decay_tau(hyp)
     if case.tag is CaseTag.VANISHING:
         return vanishing_level(hyp, psi_at_k0)
@@ -340,6 +327,7 @@ def _envelope_logs(hyp: DecayHypothesis, psi_at_k0: float, k):
     overflows the envelope.
     """
     env = envelope_constants(hyp, psi_at_k0)
+    psi_at_k0 = float(psi_at_k0)  # checked there, by _real
     tag = env.case.tag
     with np.errstate(divide="ignore", over="ignore"):
         if tag is CaseTag.POWER_DECAY:
@@ -397,8 +385,7 @@ class PsiTable(Record, eq=False):
             raise ValueError(
                 f"knots and values differ in length: {knots.size} vs {values.size}"
             )
-        if not (math.isfinite(self.k0) and self.k0 >= 0.0):
-            raise ValueError(f"k0 must be finite and nonnegative, got {self.k0}")
+        object.__setattr__(self, "k0", _real("k0", self.k0, at_least=0))
         if not np.isfinite(knots).all():
             raise ValueError("knots must be finite")
         if not np.isfinite(values).all():
@@ -417,7 +404,6 @@ class PsiTable(Record, eq=False):
         if rises.size:
             a, b = values[rises[0]:rises[0] + 2].tolist()
             raise ValueError(f"values must be nonincreasing, got {a} then {b}")
-        object.__setattr__(self, "k0", float(self.k0))
 
     def __len__(self) -> int:
         return self.knots.size
@@ -859,21 +845,19 @@ def giusti_recursion(
     bound comparison allows 4 ulps of slack per step to absorb the
     rounding of the power evaluations.
     """
-    if not (math.isfinite(c_bar) and c_bar > 0.0):
-        raise ValueError(f"c_bar must be positive and finite, got {c_bar}")
-    if not (math.isfinite(m) and m > 1.0):
-        raise ValueError(f"m must exceed 1, got {m}")
-    if not (math.isfinite(beta) and beta > 1.0):
-        raise ValueError(f"beta must exceed 1, got {beta}")
-    if not (math.isfinite(x0) and x0 >= 0.0):
-        raise ValueError(f"x0 must be nonnegative and finite, got {x0}")
+    c_bar = _real("c_bar", c_bar, above=0)
+    m = _real("m", m, above=1)
+    beta = _real("beta", beta, above=1)
+    x0 = _real("x0", x0, at_least=0)
+    if not _whole(steps):
+        raise ValueError("steps must be an integer")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     log_threshold = -(math.log(c_bar) + math.log(m) / (beta - 1.0)) / (beta - 1.0)
     premise_holds = _log(x0) <= log_threshold
     xs = [x0]
     x = x0
-    for i in range(steps):
+    for i in range(int(steps)):
         try:
             x = c_bar * m**i * x**beta
         except OverflowError:
@@ -906,8 +890,11 @@ def level_sequence(
     ExponentialDecay: k_s = k0 + tau * s**(D/(D-A)), s = 0, 1, ...;
     Vanishing: k_i = 2L * (1 - 2**(-i-1)), increasing from L toward 2L.
     """
+    if not _whole(count):
+        raise ValueError("count must be an integer")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
+    count = int(count)
     tag = constants.case.tag
     if tag is CaseTag.EXPONENTIAL_DECAY:
         power = hyp.D / (hyp.D - hyp.A)

@@ -25,7 +25,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._records import _MONOTONE_SLACK, Record, _frozen, _keepable, _whole
+from ._records import _MONOTONE_SLACK, Record, _frozen, _keepable, _real, _whole
 
 __all__ = [
     "MIN_FIT_POINTS",
@@ -149,7 +149,6 @@ class DistributionProfile(Record, eq=False):
 
     def __post_init__(self) -> None:
         levels, measures = self.levels, self.measures
-        object.__setattr__(self, "total_measure", float(self.total_measure))
         if levels.ndim != 1 or measures.ndim != 1:
             raise ValueError("levels and measures must be one-dimensional")
         if levels.shape != measures.shape:
@@ -168,8 +167,7 @@ class DistributionProfile(Record, eq=False):
         rises = measures[1:] - measures[:-1]
         if (rises > _MONOTONE_SLACK * np.maximum(measures[:-1], 1.0)).any():
             raise ValueError("measures must be nonincreasing in the level")
-        if not math.isfinite(self.total_measure) or self.total_measure < 0.0:
-            raise ValueError("total_measure must be finite and nonnegative")
+        object.__setattr__(self, "total_measure", _real("total_measure", self.total_measure, at_least=0))
         if measures.size and measures[0] > self.total_measure * (1.0 + _MONOTONE_SLACK):
             raise ValueError("measures cannot exceed the total measure")
 
@@ -269,9 +267,7 @@ def weak_norm_estimate(prof: DistributionProfile, r: float) -> WeakNormEstimate:
     is the first level realizing the maximum, or None when the field
     vanishes on every sampled level.
     """
-    r = float(r)
-    if not math.isfinite(r) or r <= 0.0:
-        raise ValueError("r must be positive and finite")
+    r = _real("r", r, above=0)
     if prof.levels.size == 0:
         return WeakNormEstimate(r=r, norm_estimate=0.0, attained_at=None)
     contributions = _weighted_powers(prof.levels, r, prof.measures)
@@ -350,10 +346,8 @@ def tail_exponent_fit(prof: DistributionProfile, k_min: float, k_max: float) -> 
     and so do levels whose logs are all one float (see :func:`_ols_line`).
     A power-law tail mu ~ k^s yields slope s with r_squared close to one.
     """
-    k_min = float(k_min)
-    k_max = float(k_max)
-    if not (k_min > 0.0 and k_max > k_min):
-        raise ValueError("need 0 < k_min < k_max")
+    k_min = _real("k_min", k_min, above=0)
+    k_max = _real("k_max", k_max, above=k_min)
     sel = (prof.levels >= k_min) & (prof.levels <= k_max) & (prof.measures > 0.0)
     count = int(np.count_nonzero(sel))
     if count < MIN_FIT_POINTS:
@@ -372,12 +366,10 @@ def exp_integrability_fit(prof: DistributionProfile, theta: float, k_min: float)
     and so do levels whose k^theta are all one float.  The fit of
     :func:`_ols_line` holds over the whole float range of the levels.
     """
-    theta = float(theta)
-    k_min = float(k_min)
-    if not (0.0 < theta <= 1.0):
+    theta = _real("theta", theta, above=0)
+    if theta > 1.0:
         raise ValueError("theta must lie in (0, 1]")
-    if not (k_min >= 0.0 and math.isfinite(k_min)):
-        raise ValueError("k_min must be finite and nonnegative")
+    k_min = _real("k_min", k_min, at_least=0)
     sel = (prof.levels >= k_min) & (prof.measures > 0.0)
     count = int(np.count_nonzero(sel))
     if count < MIN_FIT_POINTS:
@@ -407,9 +399,7 @@ def summability_test(prof: DistributionProfile, r: float, k_top: int) -> Summabi
     lies below every sampled level).  The sum is declared convergent when
     the last decade (k_top/10, k_top] contributes less than 1% of S_{k_top}.
     """
-    r = float(r)
-    if not math.isfinite(r) or r <= 0.0:
-        raise ValueError("r must be positive and finite")
+    r = _real("r", r, above=0)
     if not _whole(k_top):
         raise ValueError("k_top must be an integer")
     if k_top < 10:
@@ -454,12 +444,8 @@ def integral_bound_check(values, weights, mask, r: float, norm_const: float) -> 
     chosen = np.asarray(mask, dtype=bool)
     if vals.ndim != 1 or vals.shape != w.shape or vals.shape != chosen.shape:
         raise ValueError("values, weights and mask must share one shape")
-    r = float(r)
-    norm_const = float(norm_const)
-    if not math.isfinite(r) or r <= 1.0:
-        raise ValueError("r must exceed 1")
-    if not math.isfinite(norm_const) or norm_const < 0.0:
-        raise ValueError("norm_const must be finite and nonnegative")
+    r = _real("r", r, above=1)
+    norm_const = _real("norm_const", norm_const, at_least=0)
     w = w[chosen]
     products = vals[chosen]
     np.abs(products, out=products)
@@ -529,12 +515,8 @@ def power_source(nodes, n: int, r: float, scale: float) -> PowerSource:
         if not np.isfinite(nodes).all():
             raise ValueError("nodes must be finite")
         raise ValueError("nodes must be nonnegative and strictly increasing")
-    r = float(r)
-    scale = float(scale)
-    if not math.isfinite(r) or r <= 1.0:
-        raise ValueError("r must exceed 1")
-    if not math.isfinite(scale) or scale < 0.0:
-        raise ValueError("scale must be finite and nonnegative")
+    r = _real("r", r, above=1)
+    scale = _real("scale", scale, at_least=0)
     try:  # the largest power first, so that no power of a node overflows below
         span = float(nodes[-1]) ** n - float(nodes[0]) ** n
     except OverflowError:

@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._records import Record, _whole
+from ._records import Record, _real, _whole
 from .exponents import ExponentSet, ProblemParams, Regime, compute_exponents
 from .lemma import _pair_scan
 from .marcinkiewicz import (
@@ -139,9 +139,7 @@ class RadialGrid(Record, eq=False):
 
     def __post_init__(self) -> None:
         volume = unit_ball_volume(self.n)
-        radius, cells = float(self.radius), self.cells
-        if not math.isfinite(radius) or radius <= 0.0:
-            raise ValueError("radius must be positive and finite")
+        radius, cells = _real("radius", self.radius, above=0), self.cells
         if not (_whole(cells) and cells >= 1):
             raise ValueError("cells must be a positive integer")
         n, cells = int(self.n), int(cells)
@@ -201,9 +199,7 @@ class FunctionalSpec(Record, eq=False):
             raise ValueError("source must be one-dimensional")
         if not np.isfinite(self.source).all():
             raise ValueError("source must be finite")
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        if not math.isfinite(self.epsilon) or self.epsilon < 0.0:
-            raise ValueError("epsilon must be finite and nonnegative")
+        object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon, at_least=0))
         try:
             self.epsilon ** self.params.p
         except OverflowError as exc:
@@ -383,9 +379,7 @@ class SolverTolerances(Record):
     max_iters: int = 100_000
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "grad_tol", float(self.grad_tol))
-        if not math.isfinite(self.grad_tol) or self.grad_tol < 0.0:
-            raise ValueError("grad_tol must be finite and nonnegative")
+        object.__setattr__(self, "grad_tol", _real("grad_tol", self.grad_tol, at_least=0))
         if not _whole(self.max_iters):
             raise ValueError("max_iters must be an integer")
         if self.max_iters < 0:
@@ -544,9 +538,7 @@ def minimize(
 # --------------------------------------------------------------------------
 def truncate(field: DiscreteField, level: float) -> DiscreteField:
     """Two-sided truncation T_k(u) = clamp(u, -k, k)."""
-    level = float(level)
-    if not math.isfinite(level) or level < 0.0:
-        raise ValueError("truncation level must be finite and nonnegative")
+    level = _real("level", level, at_least=0)
     return DiscreteField(np.clip(field.nodal_values, -level, level))
 
 

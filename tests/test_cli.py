@@ -826,7 +826,7 @@ def test_sweep_rejects_a_bad_r_before_any_ladder(tmp_path, capsys, monkeypatch):
     )
     assert main(["sweep", "--config", cfg, "--r-values", "1.75,0.5"]) == 2
     captured = capsys.readouterr()
-    assert "r must exceed 1, got 0.5" in captured.err
+    assert "r must be finite and above 1, got 0.5" in captured.err
     assert captured.out == ""
     assert calls == []
 

@@ -405,18 +405,18 @@ def _tau_override_search(tau):
 @pytest.mark.parametrize(
     "call, args, message",
     [
-        (k0_for_exp_power, (0.0, 2.0), r"^d_exp must be positive, got 0\.0$"),
-        (k0_for_exp_power, (-1.0, 2.0), r"^d_exp must be positive, got -1\.0$"),
-        (k0_for_exp_power, (math.nan, 2.0), r"^d_exp must be positive, got nan$"),
+        (k0_for_exp_power, (0.0, 2.0), r"^d_exp must be finite and positive, got 0\.0$"),
+        (k0_for_exp_power, (-1.0, 2.0), r"^d_exp must be finite and positive, got -1\.0$"),
+        (k0_for_exp_power, (math.nan, 2.0), r"^d_exp must be finite and positive, got nan$"),
         # the bracket doubles from about 1e194 until k**p overflows
         (k0_for_exp_power, (1.7e308, 1.5), r"^the root of g for d_exp=1\.7e\+308, c_exp=1\.5 leaves the float range$"),
-        (_tau_override_search, (0.0,), r"^tau_override must be positive, got 0\.0$"),
-        (_tau_override_search, (-1.0,), r"^tau_override must be positive, got -1\.0$"),
-        (_tau_override_search, (math.nan,), r"^tau_override must be positive, got nan$"),
-        (equivalence_constant, (0.0, 2.0, 1.0, 0.5), "^all arguments must be positive$"),
-        (equivalence_constant, (1.0, -2.0, 1.0, 0.5), "^all arguments must be positive$"),
-        (equivalence_constant, (1.0, 2.0, math.nan, 0.5), "^all arguments must be positive$"),
-        (equivalence_constant, (1.0, 2.0, 1.0, 0.0), "^all arguments must be positive$"),
+        (_tau_override_search, (0.0,), r"^tau_override must be finite and positive, got 0\.0$"),
+        (_tau_override_search, (-1.0,), r"^tau_override must be finite and positive, got -1\.0$"),
+        (_tau_override_search, (math.nan,), r"^tau_override must be finite and positive, got nan$"),
+        (equivalence_constant, (0.0, 2.0, 1.0, 0.5), r"^c2 must be finite and positive, got 0\.0$"),
+        (equivalence_constant, (1.0, -2.0, 1.0, 0.5), r"^d_exp must be finite and positive, got -2\.0$"),
+        (equivalence_constant, (1.0, 2.0, math.nan, 0.5), "^c_bar must be finite and positive, got nan$"),
+        (equivalence_constant, (1.0, 2.0, 1.0, 0.0), r"^b_exp must be finite and positive, got 0\.0$"),
     ],
 )
 def test_counterexample_domain_errors(call, args, message):

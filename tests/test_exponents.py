@@ -77,10 +77,12 @@ def test_problem_params_validation():
 @pytest.mark.parametrize(
     "name, value, message",
     [
-        *[(name, value, f"^{name} must be finite, got {value}$")
-          for name in ("p", "alpha", "r", "beta1", "b_const") for value in (math.nan, math.inf)],
-        ("alpha", -math.inf, "^alpha must be finite, got -inf$"),
-        ("alpha", -0.25, "^alpha must be >= 0, got -0.25$"),
+        *[(name, value, f"^{name} must be finite{bound}, got {value}$")
+          for name, bound in (("p", " and above 1"), ("alpha", " and nonnegative"), ("r", " and above 1"),
+                              ("beta1", " and positive"), ("b_const", " and positive"))
+          for value in (math.nan, math.inf)],
+        ("alpha", -math.inf, "^alpha must be finite and nonnegative, got -inf$"),
+        ("alpha", -0.25, "^alpha must be finite and nonnegative, got -0.25$"),
     ],
 )
 def test_problem_params_domain_errors(name, value, message):

@@ -345,13 +345,13 @@ def _scalar_table_check(knots, values, k0):
             f"knots and values differ in length: {len(knots)} vs {len(values)}"
         )
     if not (math.isfinite(k0) and k0 >= 0.0):
-        raise ValueError(f"k0 must be finite and nonnegative, got {k0}")
+        raise ValueError(f"k0 must be finite and nonnegative, got {float(k0)}")
     if not all(math.isfinite(k) for k in knots):
         raise ValueError("knots must be finite")
     if not all(math.isfinite(v) for v in values):
         raise ValueError("values must be finite")
     if knots[0] < k0:
-        raise ValueError(f"first knot {knots[0]} lies below k0={k0}")
+        raise ValueError(f"first knot {knots[0]} lies below k0={float(k0)}")
     for a, b in zip(knots, knots[1:]):
         if not b > a:
             raise ValueError(f"knots must be strictly increasing, got {a} then {b}")
@@ -1254,11 +1254,22 @@ _EXP_HYP = DecayHypothesis(1.0, 1.0, 1.0, 1.0, 2.0, k0=0.0)
         (PsiTable, ([1.0, 2.0], [math.nan, 0.5], 1.0), "^values must be finite$"),
         (giusti_recursion, (1.0, 2.0, 2.0, 0.5, -1), "^steps must be nonnegative, got -1$"),
         (level_sequence, (_EXP_HYP, exp_decay_tau(_EXP_HYP), -1), "^count must be nonnegative, got -1$"),
+        *[(giusti_recursion, (1.0, 2.0, 2.0, 0.5, steps), "^steps must be an integer$") for steps in (1.5, "2", math.inf)],
+        *[(level_sequence, (_EXP_HYP, exp_decay_tau(_EXP_HYP), count), "^count must be an integer$")
+          for count in (1.5, "2", math.nan)],
     ],
 )
 def test_lemma_domain_errors(call, args, message):
     with pytest.raises(ValueError, match=message):
         call(*args)
+
+
+def test_whole_float_counts_are_counts():
+    # steps and count follow the count rule: a finite real number equal to its int
+    assert len(giusti_recursion(1.0, 2.0, 2.0, 0.5, 2.0).xs) == 3
+    assert giusti_recursion(1.0, 2.0, 2.0, 0.5, np.float64(2.0)) == giusti_recursion(1.0, 2.0, 2.0, 0.5, 2)
+    env = exp_decay_tau(_EXP_HYP)
+    assert level_sequence(_EXP_HYP, env, 3.0) == level_sequence(_EXP_HYP, env, 3)
 
 
 # ---------------------------------------------------------------- level sequences

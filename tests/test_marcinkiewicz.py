@@ -357,7 +357,7 @@ def _profile_error_before(levels, measures, total_measure):
         if np.any(rises > 1e-12 * np.maximum(measures[:-1], 1.0)):
             return "measures must be nonincreasing in the level"
     if not math.isfinite(total_measure) or total_measure < 0.0:
-        return "total_measure must be finite and nonnegative"
+        return f"total_measure must be finite and nonnegative, got {total_measure}"
     if measures.size and measures[0] > total_measure * (1.0 + 1e-12):
         return "measures cannot exceed the total measure"
     return None
@@ -800,18 +800,20 @@ _PROFILE = DistributionProfile([1.0, 2.0, 4.0], [3.0, 2.0, 1.0], 3.0)
 @pytest.mark.parametrize(
     "call, args, message",
     [
-        *[(weak_norm_estimate, (_PROFILE, r), "^r must be positive and finite$") for r in (0.0, -1.0, math.nan, math.inf)],
-        (tail_exponent_fit, (_PROFILE, 0.0, 2.0), r"^need 0 < k_min < k_max$"),
-        (tail_exponent_fit, (_PROFILE, 2.0, 2.0), r"^need 0 < k_min < k_max$"),
-        (tail_exponent_fit, (_PROFILE, math.nan, 2.0), r"^need 0 < k_min < k_max$"),
-        *[(exp_integrability_fit, (_PROFILE, theta, 1.0), r"^theta must lie in \(0, 1\]$") for theta in (0.0, 1.5, math.nan)],
-        *[(exp_integrability_fit, (_PROFILE, 0.5, k_min), "^k_min must be finite and nonnegative$") for k_min in (-1.0, math.inf, math.nan)],
-        *[(summability_test, (_PROFILE, r, 10), "^r must be positive and finite$") for r in (0.0, math.nan, math.inf)],
+        *[(weak_norm_estimate, (_PROFILE, r), f"^r must be finite and positive, got {r}$") for r in (0.0, -1.0, math.nan, math.inf)],
+        (tail_exponent_fit, (_PROFILE, 0.0, 2.0), r"^k_min must be finite and positive, got 0\.0$"),
+        (tail_exponent_fit, (_PROFILE, 2.0, 2.0), r"^k_max must be finite and above 2, got 2\.0$"),
+        (tail_exponent_fit, (_PROFILE, math.nan, 2.0), r"^k_min must be finite and positive, got nan$"),
+        (exp_integrability_fit, (_PROFILE, 0.0, 1.0), r"^theta must be finite and positive, got 0\.0$"),
+        (exp_integrability_fit, (_PROFILE, 1.5, 1.0), r"^theta must lie in \(0, 1\]$"),
+        (exp_integrability_fit, (_PROFILE, math.nan, 1.0), "^theta must be finite and positive, got nan$"),
+        *[(exp_integrability_fit, (_PROFILE, 0.5, k_min), f"^k_min must be finite and nonnegative, got {k_min}$") for k_min in (-1.0, math.inf, math.nan)],
+        *[(summability_test, (_PROFILE, r, 10), f"^r must be finite and positive, got {r}$") for r in (0.0, math.nan, math.inf)],
         (summability_test, (_PROFILE, 2.0, 9), "^k_top must be at least 10$"),
         (integral_bound_check, ([1.0, 2.0], [0.5], [True, True], 2.0, 1.0), "^values, weights and mask must share one shape$"),
         (integral_bound_check, ([[1.0]], [[0.5]], [[True]], 2.0, 1.0), "^values, weights and mask must share one shape$"),
-        *[(integral_bound_check, ([1.0], [0.5], [True], r, 1.0), "^r must exceed 1$") for r in (1.0, math.nan, math.inf)],
-        *[(integral_bound_check, ([1.0], [0.5], [True], 2.0, c), "^norm_const must be finite and nonnegative$")
+        *[(integral_bound_check, ([1.0], [0.5], [True], r, 1.0), f"^r must be finite and above 1, got {r}$") for r in (1.0, math.nan, math.inf)],
+        *[(integral_bound_check, ([1.0], [0.5], [True], 2.0, c), f"^norm_const must be finite and nonnegative, got {c}$")
           for c in (-1.0, math.nan, math.inf)],
     ],
 )
@@ -898,9 +900,9 @@ def _power_source_error_before(nodes, n, r, scale):
     if nodes[0] < 0.0 or np.any(np.diff(nodes) <= 0.0):
         return "nodes must be nonnegative and strictly increasing"
     if not math.isfinite(r) or r <= 1.0:
-        return "r must exceed 1"
+        return f"r must be finite and above 1, got {r}"
     if not math.isfinite(scale) or scale < 0.0:
-        return "scale must be finite and nonnegative"
+        return f"scale must be finite and nonnegative, got {scale}"
     with np.errstate(over="ignore", invalid="ignore"):
         shells = np.diff(nodes ** int(n))
     if not np.all((shells > 0.0) & (shells < math.inf)):

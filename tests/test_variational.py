@@ -349,8 +349,8 @@ def _spec_with(**change):
     [
         (_spec_with, {"source": np.ones((2, 4))}, "^source must be one-dimensional$"),
         *[(_spec_with, {"source": np.array([1.0, value])}, "^source must be finite$") for value in (math.nan, math.inf)],
-        *[(_spec_with, {"epsilon": value}, "^epsilon must be finite and nonnegative$") for value in (-1e-6, math.nan, math.inf)],
-        *[(SolverTolerances, {"grad_tol": value}, "^grad_tol must be finite and nonnegative$")
+        *[(_spec_with, {"epsilon": value}, f"^epsilon must be finite and nonnegative, got {value}$") for value in (-1e-6, math.nan, math.inf)],
+        *[(SolverTolerances, {"grad_tol": value}, f"^grad_tol must be finite and nonnegative, got {value}$")
           for value in (-1.0, math.nan, math.inf)],
         (SolverTolerances, {"max_iters": -1}, "^max_iters must be nonnegative$"),
     ],
